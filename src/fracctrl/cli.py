@@ -11,8 +11,9 @@ Exit codes: 0 on success, 1 when a numerical check fails or a computation
 breaks down, 2 on configuration errors (bad flags, malformed or unknown
 config keys).  Commands that write files also drop a JSON snapshot of the
 resolved configuration next to the outputs, so a run can be reproduced from
-its artifacts alone.  smp-check parallelizes its random trials across
-FRACCTRL_THREADS worker threads without changing the report.
+its artifacts alone.  smp-check and invest gate on the exact box certificate
+of the first-order inequality; --trials N adds a seeded random-trial witness
+that never changes the verdict.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ def _invest_config(args) -> InvestConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ContractError(f"unknown config keys: {', '.join(unknown)}")
-        if data.get("consumption_times") is not None:
-            data["consumption_times"] = tuple(data["consumption_times"])
     overrides = {
         "hurst": args.hurst,
         "horizon": args.n,
@@ -171,14 +170,15 @@ def cmd_smp_check(args) -> int:
     # relative error: the chain grows geometrically, so absolute ulps grow too
     k_err = float(np.max(np.abs((result.adjoint.k[1:] - k_closed) / k_closed)))
     max_q = float(np.max(np.abs(result.adjoint.q)))
-    passed = result.check["passed"] and max_q == 0.0 and k_err < 1e-12
+    check = result.check
+    passed = check["passed"] and max_q == 0.0 and k_err < 1e-12
     report = {
         "command": "smp-check",
         "config": asdict(config),
         "adjoint_truncation": result.adjoint.truncation,
         "max_q": max_q,
         "k_error": k_err,
-        "check": result.check,
+        "check": check,
         "clamp_stats": result.clamp_stats,
         "passed": passed,
     }
@@ -186,10 +186,14 @@ def cmd_smp_check(args) -> int:
     print(f"max |q|                 = {max_q:.3e}")
     print(f"max |k - closed form|   = {k_err:.3e}")
     print(
-        f"bracket trials          = {result.check['trials']}, "
-        f"violations = {result.check['n_violations']}, "
-        f"min product = {result.check['min_bracket_product']:.3e}"
+        f"box certificate         = {check['n_violations']} violations, "
+        f"min product = {check['min_bracket_product']:.3e} at {check['min_index']}"
     )
+    if check["min_trial_product"] is not None:
+        print(
+            f"trial witness           = {check['trials']} trials, "
+            f"min product = {check['min_trial_product']:.3e}"
+        )
     print("PASS" if passed else "FAIL")
     out = _out_dir(args)
     if out is not None:
@@ -224,7 +228,7 @@ def _add_invest_flags(sub) -> None:
     sub.add_argument("--seed", type=int, default=None, help="base seed override")
     sub.add_argument("--lambda", dest="lambda_", type=float, default=None, help="discount rate override")
     sub.add_argument("--gamma-exp", dest="gamma_exp", type=float, default=None, help="discount exponent override")
-    sub.add_argument("--trials", type=int, default=100, help="random admissible controls to test")
+    sub.add_argument("--trials", type=int, default=0, help="random admissible controls drawn as a witness")
     sub.add_argument("--tolerance", type=float, default=1e-8, help="bracket product tolerance")
     sub.add_argument("--out", type=str, default=None, help="output directory")
 

@@ -27,15 +27,15 @@ bracket no longer depends on v, so the rule degenerates to bang-bang: the
 full cap when the bracket slope is negative, zero otherwise.
 
 The adjoint is solved past the run horizon (consumption dates beyond the
-horizon still pull on p_n for n inside it); run_experiment then checks the
-bracket inequality along the realized paths against random admissible
-controls and writes byte-deterministic CSV/JSON outputs plus a standalone
-plot script.
+horizon still pull on p_n for n inside it); run_experiment then certifies
+the bracket inequality along the realized paths over the admissible box and
+writes byte-deterministic CSV/JSON outputs plus a standalone plot script.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .backward import BsdeSolution, DriverSpec
-from .errors import ContractError
+from .errors import ContractError, NumericalError
 from .forward import CoefficientSet, ControlProcess, StatePath, simulate_state
 from .fracnoise import (
     InnovationSystem,
@@ -68,6 +68,18 @@ __all__ = [
     "write_wealth_csv",
     "write_adjoint_csv",
 ]
+
+
+def _require(name: str, value, kind) -> None:
+    """ContractError unless ``value`` is an integer (``kind`` int) or a finite
+    real number (``kind`` float); bools count as neither."""
+    if kind is int:
+        ok = isinstance(value, numbers.Integral)
+    else:
+        ok = isinstance(value, numbers.Real) and np.isfinite(value)
+    if isinstance(value, bool) or not ok:
+        what = "an integer" if kind is int else "a finite number"
+        raise ContractError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -99,41 +111,50 @@ class InvestConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("consumption_period", "horizon", "paths", "seed"):
+            _require(name, getattr(self, name), int)
+        for name in ("mu", "r", "sigma", "lam", "gamma_exp", "beta_exp", "c", "wealth_weight",
+                     "risk_weight", "hurst", "x0"):
+            _require(name, getattr(self, name), float)
         if not 0 < self.hurst < 1:
-            raise ValueError(f"hurst must lie in (0, 1), got {self.hurst}")
+            raise ContractError(f"hurst must lie in (0, 1), got {self.hurst}")
         if self.r <= 0:
-            raise ValueError(f"r must be > 0, got {self.r}")
+            raise ContractError(f"r must be > 0, got {self.r}")
         if self.mu <= self.r:
-            raise ValueError(f"mu must exceed r, got mu={self.mu}, r={self.r}")
+            raise ContractError(f"mu must exceed r, got mu={self.mu}, r={self.r}")
         if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+            raise ContractError(f"sigma must be > 0, got {self.sigma}")
         if self.lam <= 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
+            raise ContractError(f"lam must be > 0, got {self.lam}")
         if self.gamma_exp <= 1:
-            raise ValueError(f"gamma_exp must be > 1, got {self.gamma_exp}")
+            raise ContractError(f"gamma_exp must be > 1, got {self.gamma_exp}")
         if self.beta_exp <= 1:
-            raise ValueError(f"beta_exp must be > 1, got {self.beta_exp}")
+            raise ContractError(f"beta_exp must be > 1, got {self.beta_exp}")
         if not 0 < self.c < 1:
-            raise ValueError(f"c must lie in (0, 1), got {self.c}")
+            raise ContractError(f"c must lie in (0, 1), got {self.c}")
         if self.wealth_weight <= 0:
-            raise ValueError(f"wealth_weight must be > 0, got {self.wealth_weight}")
+            raise ContractError(f"wealth_weight must be > 0, got {self.wealth_weight}")
         if self.risk_weight <= 0:
-            raise ValueError(f"risk_weight must be > 0, got {self.risk_weight}")
+            raise ContractError(f"risk_weight must be > 0, got {self.risk_weight}")
         if self.consumption_times is not None:
+            if not np.iterable(self.consumption_times):
+                raise ContractError(
+                    f"consumption_times must be a sequence of steps, got {self.consumption_times!r}"
+                )
+            for t in self.consumption_times:
+                _require("consumption time", t, int)
             times = tuple(sorted({int(t) for t in self.consumption_times}))
             if not times:
-                raise ValueError("consumption_times must not be empty; omit it for the periodic set")
+                raise ContractError("consumption_times must not be empty; omit it for the periodic set")
             if times[0] < 1:
-                raise ValueError(f"consumption times must be positive steps, got {times[0]}")
+                raise ContractError(f"consumption times must be positive steps, got {times[0]}")
             object.__setattr__(self, "consumption_times", times)
         elif self.consumption_period < 1:
-            raise ValueError(f"consumption_period must be >= 1, got {self.consumption_period}")
-        if not np.isfinite(self.x0):
-            raise ValueError(f"x0 must be finite, got {self.x0}")
+            raise ContractError(f"consumption_period must be >= 1, got {self.consumption_period}")
         if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+            raise ContractError(f"horizon must be >= 1, got {self.horizon}")
         if self.paths < 1:
-            raise ValueError(f"paths must be >= 1, got {self.paths}")
+            raise ContractError(f"paths must be >= 1, got {self.paths}")
 
     def is_consumption_time(self, n: int) -> bool:
         if self.consumption_times is not None:
@@ -221,7 +242,15 @@ def solve_adjoint(config: InvestConfig, truncation: Optional[int] = None) -> Inv
         raise ContractError(
             f"adjoint truncation {n_trunc} must reach the run horizon {config.horizon}"
         )
-    k = solve_adjoint_k(0.5 * config.lam, 0.0, n_trunc)
+    with np.errstate(over="ignore"):
+        k = solve_adjoint_k(0.5 * config.lam, 0.0, n_trunc)
+    if not np.all(np.isfinite(k)):
+        step, growth = int(np.argmin(np.isfinite(k))), 1 + 0.5 * config.lam
+        raise NumericalError(
+            f"adjoint chain k overflows at step {step}: it grows by the factor "
+            f"1 + lam/2 = {growth:g} per step over the adjoint truncation {n_trunc}",
+            detail={"step": step, "growth": growth},
+        )
     chi = consumption_indicator(config, n_trunc)
     b_x = (1 + config.r) * (1 - config.c * chi) - 1
     f_x = -config.wealth_weight * chi
@@ -390,13 +419,14 @@ print(f"wrote {here / 'wealth.png'} and {here / 'adjoint.png'}")
 
 
 def run_experiment(
-    config: InvestConfig, out_dir=None, n_trials: int = 100, tolerance: float = 1e-8
+    config: InvestConfig, out_dir=None, n_trials: int = 0, tolerance: float = 1e-8
 ) -> InvestResult:
     """Simulate the candidate control and check it first-order.
 
     Runs the wealth recursion under the closed-form rule, evaluates the
     necessary-condition bracket along the realized paths (terminal step
-    included), and probes it against ``n_trials`` random admissible controls.
+    included), and certifies it over the admissible box [0, cap];
+    ``n_trials`` > 0 adds the random-trial witness of check_necessary_condition.
     With ``out_dir`` set, writes wealth.csv, adjoint.csv, a resolved-config
     snapshot, and a standalone plot script; outputs are byte-identical for
     equal configs.

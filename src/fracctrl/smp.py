@@ -14,9 +14,10 @@ First-order optimality of u* is the pointwise inequality
     bracket_n = b_u*(n) p_n + sigma_u*(n) p_n E[xi_n | F_n]
                 + beta(n,n) sigma_u*(n) q_n - f_u*(n) k_n,
 
-for every admissible u, which check_necessary_condition probes with random
-admissible deviations.  The Hamiltonian aggregates the same ingredients but
-carries the running cost with the opposite sign,
+for every admissible u.  Over a per-entry box the worst u sits at a corner,
+so check_necessary_condition certifies the inequality exactly.  The
+Hamiltonian aggregates the same ingredients but carries the running cost
+with the opposite sign,
 
     H = b p + sigma p E[xi | F] + beta(n,n) sigma q + f k,
 
@@ -38,9 +39,6 @@ per-step coefficients.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -228,78 +226,68 @@ def bracket_values(
     return out
 
 
-def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("FRACCTRL_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"FRACCTRL_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(workers, n_tasks))
-
-
 def check_necessary_condition(
     bracket,
     u_star,
     lower,
     upper,
-    n_trials: int = 100,
+    n_trials: int = 0,
     seed: int = 0,
     tolerance: float = 1e-8,
 ) -> dict:
-    """Probe bracket * (u - u*) >= 0 with random admissible controls.
+    """Certify bracket * (u - u*) >= 0 for every u in the box [lower, upper].
 
-    Each trial draws u uniformly from the per-entry interval [lower, upper]
-    and records every product below -tolerance.  Trials use independently
-    spawned generators, so the report is identical for any FRACCTRL_THREADS
-    setting (the variable only caps the worker threads).
+    The product is affine in each entry's u, so its minimum over the box sits
+    at a corner: bracket * (lower - u*) where bracket > 0, bracket * (upper -
+    u*) otherwise.  Every entry whose worst product is not >= -tolerance
+    (NaN and inf included) is a violation; the first ten are reported with
+    the worst admissible control ``u``.  ``n_trials`` > 0 adds a serial
+    witness, the least product over that many uniform draws from the box
+    under per-trial generators spawned from ``seed``.  No draw can go below
+    the certificate, and the witness never gates ``passed``.
     """
-    bracket = np.asarray(bracket, dtype=float)
-    u_star = np.asarray(u_star, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    shape = np.broadcast_shapes(bracket.shape, u_star.shape, lower.shape, upper.shape)
-    if np.any(upper < lower):
-        raise ValueError("upper bound below lower bound somewhere in the admissible box")
-    b = np.broadcast_to(bracket, shape)
-    us = np.broadcast_to(u_star, shape)
-    lo = np.broadcast_to(lower, shape)
-    hi = np.broadcast_to(upper, shape)
-    seeds = np.random.SeedSequence(seed).spawn(n_trials)
-
-    def run_trial(t: int):
-        rng = np.random.default_rng(seeds[t])
-        u = lo + rng.uniform(size=shape) * (hi - lo)
-        prod = b * (u - us)
-        bad = np.argwhere(prod < -tolerance)
-        return float(prod.min()), [(idx, float(prod[tuple(idx)])) for idx in bad[:10]]
-
-    workers = _worker_count(n_trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_trial, range(n_trials)))
-    else:
-        results = [run_trial(t) for t in range(n_trials)]
-
-    min_product = min(r[0] for r in results) if results else 0.0
+    b, us, lo, hi = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (bracket, u_star, lower, upper))
+    )
+    if np.any(hi < lo):
+        raise ContractError("upper bound below lower bound somewhere in the admissible box")
+    if n_trials < 0:
+        raise ContractError(f"n_trials must be >= 0, got {n_trials}")
+    worst = np.where(b > 0, lo, hi)
+    worst -= us
+    worst *= b
+    bad = np.flatnonzero(~(worst >= -tolerance))
     violations = []
-    n_violations = 0
-    for t, (_, bad) in enumerate(results):
-        n_violations += len(bad)
-        for idx, val in bad:
-            if len(violations) < 10:
-                record = {"trial": t, "value": val}
-                if len(idx) == 2:
-                    record["path"], record["step"] = int(idx[0]), int(idx[1])
-                else:
-                    record["index"] = [int(i) for i in idx]
-                violations.append(record)
+    for flat in bad[:10]:
+        idx = np.unravel_index(flat, worst.shape)
+        record = {"value": float(worst[idx]), "u": float(lo[idx] if b[idx] > 0 else hi[idx])}
+        if len(idx) == 2:
+            record["path"], record["step"] = int(idx[0]), int(idx[1])
+        else:
+            record["index"] = [int(i) for i in idx]
+        violations.append(record)
+    min_trial = None
+    if n_trials > 0:
+        span = hi - lo
+        min_trial = np.inf
+        for child in np.random.SeedSequence(seed).spawn(n_trials):
+            u = np.random.default_rng(child).uniform(size=worst.shape)
+            u *= span
+            u += lo
+            np.minimum(u, hi, out=u)  # rounding must not step outside the box
+            u -= us
+            u *= b
+            min_trial = np.minimum(min_trial, u.min())
+        min_trial = float(min_trial)
     return {
         "trials": n_trials,
         "tolerance": tolerance,
-        "min_bracket_product": min_product,
-        "n_violations": n_violations,
+        "min_bracket_product": float(worst.min()),
+        "min_index": [int(i) for i in np.unravel_index(np.argmin(worst), worst.shape)],
+        "min_trial_product": min_trial,
+        "n_violations": int(bad.size),
         "violations": violations,
-        "passed": n_violations == 0,
+        "passed": bad.size == 0,
     }
 
 

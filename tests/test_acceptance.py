@@ -189,6 +189,7 @@ def test_criterion_08_investment_smp():
     assert_allclose(result.adjoint.k[1:], -(1.5 ** (steps - 1)), rtol=1e-12)
     assert result.check["n_violations"] == 0, f"violations: {result.check['violations']}"
     assert result.check["passed"]
+    assert result.check["min_bracket_product"] <= result.check["min_trial_product"]
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"took {elapsed:.1f}s, budget is 120s"
     _report(

@@ -76,15 +76,20 @@ class TestSmpCheck:
         assert report["check"]["n_violations"] == 0
         assert report["config"]["horizon"] == 12
 
-    def test_thread_cap_does_not_change_report(self, tmp_path, monkeypatch):
+    def test_same_seed_gives_same_report(self, tmp_path):
         argv = ["smp-check", "--N", "8", "--paths", "32", "--trials", "8", "--out"]
-        monkeypatch.setenv("FRACCTRL_THREADS", "1")
-        assert main(argv + [str(tmp_path / "one")]) == 0
-        monkeypatch.setenv("FRACCTRL_THREADS", "4")
-        assert main(argv + [str(tmp_path / "four")]) == 0
-        one = json.loads((tmp_path / "one" / "smp_report.json").read_text())
-        four = json.loads((tmp_path / "four" / "smp_report.json").read_text())
-        assert one == four
+        assert main(argv + [str(tmp_path / "a")]) == 0
+        assert main(argv + [str(tmp_path / "b")]) == 0
+        a = json.loads((tmp_path / "a" / "smp_report.json").read_text())
+        b = json.loads((tmp_path / "b" / "smp_report.json").read_text())
+        assert a == b
+        assert a["check"]["min_bracket_product"] <= a["check"]["min_trial_product"]
+
+    def test_summary_reports_the_certificate(self, capsys):
+        assert main(["smp-check", "--N", "8", "--paths", "16"]) == 0
+        out = capsys.readouterr().out
+        assert "box certificate         = 0 violations, min product = " in out
+        assert "trial witness" not in out, "trials are off by default"
 
 
 class TestInvest:
@@ -128,6 +133,25 @@ class TestInvest:
     def test_invalid_parameter_exits_2(self, capsys):
         assert main(["invest", "--H", "1.5", "--paths", "4", "--N", "4"]) == 2
         assert "hurst" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, needle",
+        [
+            ({"horizon": 2.5}, "horizon must be an integer"),
+            ({"consumption_times": 5}, "consumption_times must be a sequence"),
+            ({"consumption_times": [2, 4.5]}, "consumption time must be an integer"),
+            ({"sigma": "high"}, "sigma must be a finite number"),
+        ],
+    )
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, config, needle):
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text(json.dumps(config))
+        assert main(["invest", "--config", str(cfg_file)]) == 2
+        assert needle in capsys.readouterr().err
+
+    def test_non_finite_flag_exits_2(self, capsys):
+        assert main(["invest", "--lambda", "nan", "--paths", "4", "--N", "4"]) == 2
+        assert "lam must be a finite number" in capsys.readouterr().err
 
     def test_summary_lines(self, capsys):
         code = main(["invest", "--N", "8", "--paths", "8", "--trials", "2"])

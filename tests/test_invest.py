@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fracctrl.errors import ContractError
+from fracctrl.errors import ContractError, NumericalError
 from fracctrl.forward import check_partials
 from fracctrl.invest import (
     InvestConfig,
@@ -68,10 +68,17 @@ class TestConfig:
             {"x0": np.inf},
             {"horizon": 0},
             {"paths": 0},
+            {"sigma": np.nan},
+            {"lam": np.nan},
+            {"mu": np.inf},
+            {"horizon": 2.5},
+            {"paths": True},
+            {"consumption_times": 5},
+            {"consumption_times": (2, 4.5)},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             InvestConfig(**kwargs)
 
     def test_explicit_times_are_sorted_and_deduplicated(self):
@@ -158,6 +165,15 @@ class TestAdjoint:
         with pytest.raises(ContractError, match="truncation"):
             solve_adjoint(small_config(), truncation=5)
 
+    def test_chain_overflow_names_step_and_growth(self):
+        # k_n = -(1.5)^(n-1) passes the largest double at n = 1752, the
+        # default truncation of horizon 1732; one step less stays finite.
+        with pytest.raises(NumericalError, match=r"overflows at step 1752: .* = 1\.5 per step"):
+            solve_adjoint(InvestConfig(horizon=1732))
+        with pytest.raises(NumericalError, match="step 1752"):
+            solve_adjoint(small_config(), truncation=1752)
+        assert np.isfinite(solve_adjoint(small_config(), truncation=1751).k).all()
+
 
 class TestControlFormula:
     # slope = (mu - r + sigma * pred) * p = -0.2 for p=-1, pred=0.5
@@ -209,10 +225,16 @@ class TestControlFormula:
 
 class TestRunExperiment:
     def test_small_run_satisfies_first_order_conditions(self):
-        result = run_experiment(small_config(), n_trials=25)
+        result = run_experiment(small_config())
         assert result.check["passed"], f"violations: {result.check['violations']}"
         assert result.check["n_violations"] == 0
         assert result.check["min_bracket_product"] >= -result.check["tolerance"]
+        assert result.check["min_trial_product"] is None, "trials are off by default"
+
+    def test_certificate_bounds_the_trial_witness(self):
+        result = run_experiment(small_config(), n_trials=20)
+        assert result.check["trials"] == 20
+        assert result.check["min_bracket_product"] <= result.check["min_trial_product"]
 
     def test_shapes_and_bounds(self):
         cfg = small_config()

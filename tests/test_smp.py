@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fracctrl import ContractError
@@ -190,10 +192,11 @@ class TestNecessaryCheck:
         bracket = np.ones((4, 3))
         lo, hi = np.zeros((4, 3)), np.ones((4, 3))
         report = check_necessary_condition(bracket, hi, lo, hi, n_trials=5, seed=2)
-        assert report["passed"] is False and report["n_violations"] > 0
-        assert report["min_bracket_product"] < 0
+        assert report["passed"] is False and report["n_violations"] == 12
+        assert report["min_bracket_product"] == -1.0
         first = report["violations"][0]
-        assert {"trial", "path", "step", "value"} <= set(first)
+        assert {"path", "step", "value", "u"} <= set(first)
+        assert first["value"] == -1.0 and first["u"] == 0.0
         json.dumps(report)
 
     def test_interior_optimum_with_zero_bracket_passes(self):
@@ -209,21 +212,77 @@ class TestNecessaryCheck:
         assert report["n_violations"] > 0
         assert "index" in report["violations"][0]
 
-    def test_report_independent_of_thread_cap(self, monkeypatch):
+    def test_same_seed_gives_same_report(self):
         bracket = np.random.default_rng(5).standard_normal((16, 9))
         u_star = np.full((16, 9), 0.5)
-        monkeypatch.setenv("FRACCTRL_THREADS", "1")
-        serial = check_necessary_condition(bracket, u_star, 0.0, 1.0, n_trials=12, seed=6)
-        monkeypatch.setenv("FRACCTRL_THREADS", "4")
-        threaded = check_necessary_condition(bracket, u_star, 0.0, 1.0, n_trials=12, seed=6)
-        assert serial == threaded, "trial seeding must make the report scheduling-invariant"
+        first = check_necessary_condition(bracket, u_star, 0.0, 1.0, n_trials=12, seed=6)
+        again = check_necessary_condition(bracket, u_star, 0.0, 1.0, n_trials=12, seed=6)
+        other = check_necessary_condition(bracket, u_star, 0.0, 1.0, n_trials=12, seed=7)
+        assert first == again, "the trial witness must depend on the seed alone"
+        assert other["min_trial_product"] != first["min_trial_product"]
+        assert other["min_bracket_product"] == first["min_bracket_product"]
 
-    def test_bad_inputs(self, monkeypatch):
+    def test_witness_is_off_by_default_and_never_gates(self):
+        bracket = np.array([[1.0, -1.0], [2.0, 0.0]])
+        u_star = np.array([[0.0, 1.0], [0.5, 0.3]])
+        report = check_necessary_condition(bracket, u_star, 0.0, 1.0)
+        assert report["trials"] == 0 and report["min_trial_product"] is None
+        assert report["n_violations"] == 1 and report["passed"] is False
+        assert report["min_bracket_product"] == -1.0 and report["min_index"] == [1, 0]
+        witnessed = check_necessary_condition(bracket, u_star, 0.0, 1.0, n_trials=50)
+        assert witnessed["min_trial_product"] >= witnessed["min_bracket_product"]
+        assert witnessed["passed"] is False
+
+    @pytest.mark.parametrize(
+        "bracket, u_star, lower, upper",
+        [
+            ([np.nan, 1.0], [0.5, 0.0], 0.0, 1.0),
+            ([np.inf, 1.0], [0.5, 0.0], 0.0, 1.0),
+            ([1.0, 1.0], [np.nan, 0.0], 0.0, 1.0),
+            ([1.0, 1.0], [np.inf, 0.0], 0.0, 1.0),
+            ([-1.0, 1.0], [0.5, 0.0], 0.0, [np.nan, 1.0]),
+            ([1.0, 1.0], [0.0, 0.0], [-np.inf, 0.0], 1.0),
+        ],
+    )
+    def test_non_finite_entries_are_violations(self, bracket, u_star, lower, upper):
+        with np.errstate(invalid="ignore"):
+            report = check_necessary_condition(bracket, u_star, lower, upper)
+        assert report["passed"] is False
+        assert report["n_violations"] == 1
+        assert report["violations"][0]["index"] == [0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.floats(-1e3, 1e3),  # bracket
+                st.floats(-1e3, 1e3),  # lower
+                st.floats(0.0, 1e3),  # box width
+                st.floats(0.0, 1.0),  # position of u* in the box
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_certificate_is_the_box_minimum(self, entries, seed):
+        b, lo, width, frac = (np.array(col) for col in zip(*entries))
+        hi = lo + width
+        u_star = np.clip(lo + frac * width, lo, hi)
+        report = check_necessary_condition(b, u_star, lo, hi, n_trials=3, seed=seed)
+        corners = np.minimum(b * (lo - u_star), b * (hi - u_star))
+        assert report["min_bracket_product"] == corners.min()
+        assert corners[report["min_index"][0]] == corners.min()
+        rng = np.random.default_rng(seed)
+        u = np.clip(lo + rng.uniform(size=(64, b.size)) * (hi - lo), lo, hi)
+        assert report["min_bracket_product"] <= (b * (u - u_star)).min()
+        assert report["min_bracket_product"] <= report["min_trial_product"]
+
+    def test_bad_inputs(self):
         with pytest.raises(ValueError, match="upper bound below"):
             check_necessary_condition(np.ones(3), np.zeros(3), 1.0, 0.0)
-        monkeypatch.setenv("FRACCTRL_THREADS", "many")
-        with pytest.raises(ValueError, match="FRACCTRL_THREADS"):
-            check_necessary_condition(np.ones(3), np.zeros(3), 0.0, 1.0, n_trials=2)
+        with pytest.raises(ContractError, match="n_trials"):
+            check_necessary_condition(np.ones(3), np.zeros(3), 0.0, 1.0, n_trials=-1)
 
 
 class TestConvexity:
