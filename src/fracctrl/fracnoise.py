@@ -11,17 +11,25 @@ downstream.  This module provides the innovation representation that the rest
 of the package consumes:
 
     xi  = beta @ eta     beta:  lower-triangular Cholesky factor of the
-                                Toeplitz covariance of (xi_0, ..., xi_{N-1})
-    eta = alpha @ xi     alpha = beta^{-1}, eta iid standard normal
+                                Toeplitz covariance of (xi_0, ..., xi_{N-1}),
+                                eta iid standard normal
 
-and the one-step prediction coefficients
-
-    gamma(n, k) = sum_{l=k}^{n-1} beta(n, l) alpha(l, k),   k < n,
-
-so that E[xi_n | F_n] = sum_{k<n} gamma(n, k) xi_k, where F_n is the sigma-field
+and the strictly lower-triangular one-step prediction coefficients gamma, with
+E[xi_n | F_n] = sum_{k<n} gamma(n, k) xi_k, where F_n is the sigma-field
 generated by the first n increments.  Convention fixed package-wide: a prefix of
 length n predicts the next unseen increment xi_n; beta(n, n) is the conditional
 standard deviation of that prediction.
+
+gamma comes from the Durbin-Levinson recursion on the autocovariances
+(Brockwell & Davis, Time Series: Theory and Methods, section 5.2): row n is
+row n-1 updated by one reflection coefficient, O(N^2) in all.  The whitening
+matrix alpha = beta^{-1} then needs no inverse, because the innovation is the
+scaled prediction error, eta_n = (xi_n - gamma[n] @ xi) / beta(n, n), so
+
+    alpha = (I - gamma) / diag(beta)[:, None].
+
+Only beta and gamma are stored; alpha and the covariance are derived on
+demand.
 
 Sampling is deterministic given the seed.  Innovations come from numpy's PCG64
 generator (ziggurat standard normals), fixed for this build so that identical
@@ -31,10 +39,11 @@ generator (ziggurat standard normals), fixed for this build so that identical
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular, toeplitz
+from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dpotrf
 
 from .errors import ContractError, NumericalError
@@ -59,7 +68,7 @@ __all__ = [
 def _check_hurst(h: float) -> float:
     h = float(h)
     if not 0.0 < h < 1.0:
-        raise ValueError(f"Hurst index must lie in (0, 1), got {h}")
+        raise ContractError(f"Hurst index must lie in (0, 1), got {h}")
     return h
 
 
@@ -72,7 +81,7 @@ def fgn_autocovariance(h: float, lag):
     h = _check_hurst(h)
     k = np.asarray(lag, dtype=float)
     if np.any(k < 0) or np.any(k != np.floor(k)):
-        raise ValueError("lag must be a nonnegative integer")
+        raise ContractError("lag must be a nonnegative integer")
     two_h = 2.0 * h
     rho = 0.5 * (np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h)
     if np.isscalar(lag) or np.ndim(lag) == 0:
@@ -83,7 +92,7 @@ def fgn_autocovariance(h: float, lag):
 def autocovariance_matrix(h: float, n: int) -> np.ndarray:
     """Toeplitz covariance matrix of (xi_0, ..., xi_{n-1})."""
     if n < 1:
-        raise ValueError(f"matrix order must be >= 1, got {n}")
+        raise ContractError(f"matrix order must be >= 1, got {n}")
     return toeplitz(fgn_autocovariance(h, np.arange(n)))
 
 
@@ -91,17 +100,26 @@ def autocovariance_matrix(h: float, n: int) -> np.ndarray:
 class InnovationSystem:
     """Innovation representation of fGn over a finite horizon.
 
-    beta is the lower-triangular Cholesky factor of the covariance, alpha its
-    inverse, and gamma the strictly lower-triangular prediction coefficients:
-    row n of gamma gives E[xi_n | F_n] = gamma[n, :n] @ xi[:n].
+    beta is the lower-triangular Cholesky factor of the covariance and gamma
+    the strictly lower-triangular prediction coefficients from Durbin-Levinson:
+    row n of gamma gives E[xi_n | F_n] = gamma[n, :n] @ xi[:n].  ``alpha``
+    (= beta^{-1}) and ``covariance`` are computed on each access, not stored.
     """
 
     hurst: float
     horizon: int
-    covariance: np.ndarray
     beta: np.ndarray
-    alpha: np.ndarray
     gamma: np.ndarray
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """Toeplitz covariance of (xi_0, ..., xi_{horizon-1})."""
+        return autocovariance_matrix(self.hurst, self.horizon)
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """Whitening matrix beta^{-1}: row n maps xi to eta_n."""
+        return (np.eye(self.horizon) - self.gamma) / np.diag(self.beta)[:, None]
 
     def conditional_std(self, n: int) -> float:
         """Std of xi_n given the first n increments; equals beta(n, n)."""
@@ -111,31 +129,49 @@ class InnovationSystem:
         return f"InnovationSystem(hurst={self.hurst}, horizon={self.horizon})"
 
 
+def _durbin_levinson(rho: np.ndarray) -> np.ndarray:
+    """Prediction coefficients gamma from the autocovariances rho[0..N-1].
+
+    With phi the reflection coefficient and v the prediction error variance
+    of row n-1, row n is gamma[n, 0] = phi and
+    gamma[n, 1:n] = gamma[n-1, :n-1] - phi * reversed(gamma[n-1, :n-1]).
+    """
+    n_total = rho.shape[0]
+    gamma = np.zeros((n_total, n_total))
+    v = rho[0]
+    for n in range(1, n_total):
+        prev = gamma[n - 1, : n - 1]
+        phi = (rho[n] - prev @ rho[1:n]) / v
+        gamma[n, 0] = phi
+        gamma[n, 1:n] = prev - phi * prev[::-1]
+        v *= 1.0 - phi * phi
+    return gamma
+
+
 def build_innovation_system(h: float, horizon: int) -> InnovationSystem:
     """Factor the fGn covariance over ``horizon`` steps.
 
-    Raises NumericalError with the offending pivot index if the Toeplitz
-    matrix loses positive definiteness to rounding.
+    Raises ContractError for a horizon that is not an integer >= 1, and
+    NumericalError with the offending pivot index if the Toeplitz matrix
+    loses positive definiteness to rounding.
     """
     h = _check_hurst(h)
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
+        raise ContractError(f"horizon must be an integer, got {horizon!r}")
     horizon = int(horizon)
     if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    cov = autocovariance_matrix(h, horizon)
-    beta, info = dpotrf(cov, lower=1, clean=1)
+        raise ContractError(f"horizon must be >= 1, got {horizon}")
+    rho = fgn_autocovariance(h, np.arange(horizon))
+    # toeplitz(rho) is exactly symmetric, so its transpose is the same matrix
+    # in Fortran order, which dpotrf factors in place without a copy.
+    beta, info = dpotrf(toeplitz(rho).T, lower=1, clean=1, overwrite_a=1)
     if info != 0:
         raise NumericalError(
             f"Cholesky factorization of the fGn covariance failed at pivot {info} "
             f"(H={h}, horizon={horizon})",
             pivot_index=int(info),
         )
-    alpha = solve_triangular(beta, np.eye(horizon), lower=True)
-    # gamma(n, k) = sum_{l<n} beta(n, l) alpha(l, k); zeroing the diagonal of
-    # beta truncates the sum at l = n-1 for every row at once.
-    gamma = np.tril(beta, -1) @ alpha
-    return InnovationSystem(
-        hurst=h, horizon=horizon, covariance=cov, beta=beta, alpha=alpha, gamma=gamma
-    )
+    return InnovationSystem(hurst=h, horizon=horizon, beta=beta, gamma=_durbin_levinson(rho))
 
 
 @dataclass(frozen=True)
@@ -188,7 +224,7 @@ def sample_ensemble(
     full system restricted to those steps.
     """
     if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+        raise ContractError(f"n_paths must be >= 1, got {n_paths}")
     if n_steps is None:
         n_steps = system.horizon
     if not 1 <= n_steps <= system.horizon:
@@ -237,10 +273,9 @@ def prediction_matrix(system: InnovationSystem, xi, n_max: int) -> np.ndarray:
         )
     if xi.shape[1] < n_max:
         raise ContractError(f"need {n_max} increments per path, got {xi.shape[1]}")
-    out = np.zeros((xi.shape[0], n_max + 1))
-    for n in range(1, n_max + 1):
-        out[:, n] = xi[:, :n] @ system.gamma[n, :n]
-    return out
+    # gamma is strictly lower triangular, so the terms past each prefix are
+    # exact zeros and one product gives every column.
+    return xi[:, :n_max] @ system.gamma[: n_max + 1, :n_max].T
 
 
 def whiten(system: InnovationSystem, xi: np.ndarray) -> np.ndarray:
@@ -263,7 +298,7 @@ def gaussian_abs_moment(m: float) -> float:
     """
     m = float(m)
     if m <= 0:
-        raise ValueError(f"moment order must be > 0, got {m}")
+        raise ContractError(f"moment order must be > 0, got {m}")
     if m == math.floor(m) and int(m) % 2 == 0:
         prod = 1
         for i in range(1, int(m), 2):

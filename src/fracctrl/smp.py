@@ -124,11 +124,7 @@ def solve_adjoint_pq(
     therefore needs ``sys``; otherwise the solve is free of the innovation
     system and, for deterministic tables, of any simulated state.
     """
-    beta_diag = (
-        np.array([sys.conditional_std(m) for m in range(truncation + 1)])
-        if sys is not None
-        else np.ones(truncation + 1)
-    )
+    beta_diag = np.diag(sys.beta)[: truncation + 1] if sys is not None else np.ones(truncation + 1)
     need_g = bool(np.any(np.asarray(sigma_x, dtype=float) != 0.0))
     if need_g and sys is None:
         raise ContractError("a nonzero sigma_x needs the innovation system for predictions")
@@ -202,7 +198,7 @@ def bracket_values(
         controls = state.controls
     controls = np.asarray(controls, dtype=float)
     pred = prediction_matrix(sys, state.noise.xi, n_trunc)
-    beta_diag = np.array([sys.conditional_std(m) for m in range(n_trunc + 1)])
+    beta_diag = np.diag(sys.beta)[: n_trunc + 1]
     out = np.empty((n_paths, n_trunc + 1))
     zeros = np.zeros(n_paths)
     for n in range(n_trunc + 1):

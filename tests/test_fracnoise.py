@@ -1,7 +1,13 @@
 """Tests for the fGn covariance, innovation representation, and prediction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from fracctrl import fracnoise as fn
 from fracctrl.errors import ContractError
@@ -37,14 +43,18 @@ class TestAutocovariance:
 
     @pytest.mark.parametrize("h", [0.0, 1.0, -0.2, 1.5])
     def test_hurst_domain(self, h):
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             fn.fgn_autocovariance(h, 1)
 
     def test_lag_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             fn.fgn_autocovariance(0.75, -1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             fn.fgn_autocovariance(0.75, 1.5)
+
+    def test_matrix_order_domain(self):
+        with pytest.raises(ContractError):
+            fn.autocovariance_matrix(0.75, 0)
 
 
 class TestInnovationSystem:
@@ -75,7 +85,7 @@ class TestInnovationSystem:
     def test_half_gives_identity(self):
         sys = fn.build_innovation_system(0.5, 16)
         np.testing.assert_allclose(sys.beta, np.eye(16), atol=1e-14)
-        np.testing.assert_allclose(sys.gamma, 0.0, atol=1e-14)
+        assert np.all(sys.gamma == 0.0), "white noise has exactly zero prediction weights"
 
     def test_conditional_std_matches_gaussian_formula(self):
         h, n = 0.75, 9
@@ -90,10 +100,47 @@ class TestInnovationSystem:
         assert np.all(np.diff(diag) <= 1e-14), "more history cannot worsen the prediction"
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            fn.build_innovation_system(1.2, 8)
-        with pytest.raises(ValueError):
-            fn.build_innovation_system(0.75, 0)
+        # int() would truncate 2.5 silently, so non-integer horizons are refused
+        for h, horizon in [(1.2, 8), (0.75, 0), (0.75, -3), (0.75, 2.5), (0.75, 8.0), (0.75, True), (0.75, "8")]:
+            with pytest.raises(ContractError):
+                fn.build_innovation_system(h, horizon)
+
+    def test_numpy_integer_horizon(self):
+        assert fn.build_innovation_system(0.75, np.int64(8)).horizon == 8
+
+    def test_stores_only_beta_and_gamma(self):
+        sys = fn.build_innovation_system(0.75, 16)
+        assert [f.name for f in dataclasses.fields(sys)] == ["hurst", "horizon", "beta", "gamma"]
+        np.testing.assert_array_equal(sys.covariance, fn.autocovariance_matrix(0.75, 16))
+
+    @pytest.mark.parametrize("h", [0.1, 0.25, 0.5, 0.75, 0.9])
+    @pytest.mark.parametrize("horizon", [2, 64, 1024])
+    def test_gamma_matches_dense_reference(self, h, horizon):
+        # the construction Durbin-Levinson replaces: tril(beta, -1) @ beta^{-1}
+        sys = fn.build_innovation_system(h, horizon)
+        dense = np.tril(sys.beta, -1) @ solve_triangular(sys.beta, np.eye(horizon), lower=True)
+        assert np.max(np.abs(sys.gamma - dense)) <= 1e-13
+
+    @pytest.mark.parametrize("h", [0.1, 0.75])
+    def test_beta_is_the_cholesky_factor_bit_for_bit(self, h):
+        sys = fn.build_innovation_system(h, 200)
+        beta, info = dpotrf(fn.autocovariance_matrix(h, 200), lower=1, clean=1)
+        assert info == 0
+        assert np.array_equal(sys.beta, beta)
+        ens = fn.sample_ensemble(sys, seed=31, n_paths=40)
+        eta = np.random.default_rng(31).standard_normal((40, 200))
+        assert np.array_equal(ens.eta, eta)
+        assert np.array_equal(ens.xi, eta @ beta.T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=st.floats(0.01, 0.99), horizon=st.integers(2, 256), data=st.data())
+    def test_gamma_rows_solve_the_normal_equations(self, h, horizon, data):
+        sys = fn.build_innovation_system(h, horizon)
+        for n in data.draw(st.lists(st.integers(1, horizon - 1), min_size=1, max_size=4)):
+            oracle = np.linalg.solve(
+                fn.autocovariance_matrix(h, n), fn.fgn_autocovariance(h, np.arange(n, 0, -1))
+            )
+            assert np.max(np.abs(sys.gamma[n, :n] - oracle)) <= 1e-12, f"H={h}, row {n}"
 
 
 class TestSampling:
@@ -149,6 +196,8 @@ class TestSampling:
         sys = fn.build_innovation_system(0.75, 8)
         with pytest.raises(ContractError):
             fn.sample_ensemble(sys, seed=1, n_paths=2, n_steps=9)
+        with pytest.raises(ContractError):
+            fn.sample_ensemble(sys, seed=1, n_paths=0)
 
 
 class TestPrediction:
@@ -181,6 +230,16 @@ class TestPrediction:
         with pytest.raises(ContractError):
             fn.predict_next(sys, np.zeros(4))
 
+    @pytest.mark.parametrize("h", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("n_max", [0, 1, 40, 99])
+    def test_prediction_matrix_matches_predict_next(self, h, n_max):
+        sys = fn.build_innovation_system(h, 100)
+        xi = fn.sample_ensemble(sys, seed=8, n_paths=30).xi
+        got = fn.prediction_matrix(sys, xi, n_max)
+        want = np.column_stack([fn.predict_next(sys, xi[:, :n]) for n in range(n_max + 1)])
+        assert got.shape == (30, n_max + 1)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
 
 class TestGaussianAbsMoment:
     def test_frozen_values(self):
@@ -203,9 +262,9 @@ class TestGaussianAbsMoment:
         np.testing.assert_allclose(ratio[0], np.sqrt(2 / np.pi), rtol=1e-12)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             fn.gaussian_abs_moment(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             fn.gaussian_abs_moment(-2)
 
 
