@@ -22,6 +22,9 @@ Two backends realize the conditional expectations:
                  problems); the constant is the expectation and Z vanishes.
     regression   least-squares projection on a polynomial basis in a sliding
                  window of recent increments (default degree 2, window 3).
+                 Y_n and Z_n are projections on the same F_n, so each step
+                 builds one design and makes one least-squares solve with
+                 the two targets as its columns.
 
 The truncation diagnostic re-solves at increasing horizons and reports
 backward-direction weighted norms of the differences, which should form a
@@ -36,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ContractError, NumericalError
+from .errors import ContractError, NumericalError, require
 from .forward import StatePath
 from .fracnoise import InnovationSystem, prediction_matrix
 from .spaces import WeightedNormParams, weighted_norm
@@ -70,7 +73,6 @@ class DriverSpec:
     f_y: Optional[Callable] = None
     f_z: Optional[Callable] = None
     f_u: Optional[Callable] = None
-    lipschitz: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -91,36 +93,45 @@ class BsdeSolution:
 
 
 def _poly_design(features: np.ndarray, degree: int):
-    """Monomial design matrix up to total ``degree``; returns (matrix, names)."""
-    m = features.shape[0]
-    cols, names = [np.ones(m)], ["1"]
-    for d in range(1, degree + 1):
-        for combo in combinations_with_replacement(range(features.shape[1]), d):
-            cols.append(np.prod(features[:, combo], axis=1))
-            names.append("*".join(f"x{i}" for i in combo))
-    return np.column_stack(cols), names
+    """Monomial design matrix up to total ``degree``; returns (matrix, names).
+
+    Each monomial column is its parent monomial's column (the combination
+    without its last factor; the constant column for degree 1) times one
+    feature column, written in place into one Fortran-order array.
+    """
+    features = np.asfortranarray(features, dtype=float)  # contiguous columns: faster products
+    window = range(features.shape[1])
+    combos = [c for d in range(degree + 1) for c in combinations_with_replacement(window, d)]
+    column = {combo: j for j, combo in enumerate(combos)}
+    design = np.empty((features.shape[0], len(combos)), order="F")
+    design[:, 0] = 1.0  # the empty combination
+    for j, combo in enumerate(combos[1:], start=1):
+        np.multiply(design[:, column[combo[:-1]]], features[:, combo[-1]], out=design[:, j])
+    return design, ["*".join(f"x{i}" for i in combo) or "1" for combo in combos]
 
 
 def conditional_expectation(targets, features, backend: str, degree: int = 2) -> np.ndarray:
     """Project per-path ``targets`` onto step-n information.
 
-    exact: requires the targets to be constant across paths and returns that
-    constant.  regression: least-squares fit on the polynomial basis of the
-    given feature columns (shape (n_paths, window)).
+    ``targets`` has shape (n_paths,) or (n_paths, k); each column is
+    projected on its own and the result has the shape of ``targets``.
+    exact: requires every column to be constant across paths and returns
+    that constant.  regression: least-squares fit on the polynomial basis of
+    the given feature columns (shape (n_paths, window)); one design and one
+    solve serve all k columns.
     """
     targets = np.asarray(targets, dtype=float)
     if backend == "exact":
-        lo, hi = float(np.min(targets)), float(np.max(targets))
-        scale = max(1.0, abs(lo), abs(hi))
-        if hi - lo > 1e-10 * scale:
+        lo, hi = targets.min(axis=0), targets.max(axis=0)
+        spread = hi - lo
+        if (spread > 1e-10 * np.maximum(1.0, np.maximum(abs(lo), abs(hi)))).any():
             raise ContractError(
                 "exact backend requires deterministic targets; spread "
-                f"{hi - lo:.3e} across paths (use the regression backend)"
+                f"{np.max(spread):.3e} across paths (use the regression backend)"
             )
-        return np.full(targets.shape[0], 0.5 * (lo + hi))
+        return np.full(targets.shape, 0.5 * (lo + hi))
     if backend != "regression":
-        raise ValueError(f"backend must be 'exact' or 'regression', got {backend!r}")
-    features = np.asarray(features, dtype=float)
+        raise ContractError(f"backend must be 'exact' or 'regression', got {backend!r}")
     design, names = _poly_design(features, degree)
     if targets.shape[0] < design.shape[1]:
         raise ContractError(
@@ -163,11 +174,14 @@ def solve_truncated(
     prediction at prefix length N exists.  ``control_values`` defaults to the
     controls realized in ``state``.
     """
+    require("truncation", truncation, int)
+    require("lam", lam, float)
+    require("gamma_exp", gamma_exp, float)
     n_trunc = int(truncation)
     if n_trunc < 1:
-        raise ValueError(f"truncation must be >= 1, got {n_trunc}")
+        raise ContractError(f"truncation must be >= 1, got {n_trunc}")
     if lam <= 0 or gamma_exp <= 1:
-        raise ValueError(f"need lam > 0 and gamma_exp > 1, got {lam}, {gamma_exp}")
+        raise ContractError(f"need lam > 0 and gamma_exp > 1, got {lam}, {gamma_exp}")
     if state is None:
         if backend != "exact":
             raise ContractError("the regression backend needs a simulated state ensemble")
@@ -206,6 +220,7 @@ def solve_truncated(
     y = np.zeros((n_paths, n_trunc + 1))
     z = np.zeros((n_paths, n_trunc))
     zeros = np.zeros(n_paths)
+    stacked = np.empty((n_paths, 2), order="F")  # Y and Z targets of a regression step
     for n in range(n_trunc - 1, -1, -1):
         m = n + 1
         x_m = x_all[:, m]
@@ -236,9 +251,16 @@ def solve_truncated(
             y[:, n] = conditional_expectation(target, None, "exact")
             z[:, n] = 0.0
         else:
+            stacked[:, 0] = target
+            np.multiply(eta[:, n], target, out=stacked[:, 1])
             feats = xi[:, max(0, n - window) : n]
-            y[:, n] = conditional_expectation(target, feats, "regression", degree)
-            z[:, n] = conditional_expectation(eta[:, n] * target, feats, "regression", degree)
+            try:
+                fitted = conditional_expectation(stacked, feats, "regression", degree)
+            except NumericalError as err:
+                raise NumericalError(
+                    f"step {n}: {err}", detail={**(err.detail or {}), "step": n}
+                ) from err
+            y[:, n], z[:, n] = fitted[:, 0], fitted[:, 1]
 
     diagnostics = {
         "used_default_terminal": driver.f1 is None,
@@ -279,9 +301,12 @@ def cauchy_diagnostic(
     reports, per consecutive pair, the backward-direction weighted norms of
     the Y and Z differences with the tail term of the Y-norm.
     """
-    n_list = sorted(int(n) for n in n_list)
+    levels = list(n_list)
+    for n in levels:
+        require("truncation level", n, int)
+    n_list = sorted(int(n) for n in levels)
     if len(n_list) < 2:
-        raise ValueError("need at least two truncation levels")
+        raise ContractError("need at least two truncation levels")
     solutions = {
         n: solve_truncated(
             driver, state, sys, n, norm_params.lam, norm_params.gamma_exp,

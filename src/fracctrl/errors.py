@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument check that
+raises the first of them."""
+
+import numbers
+
+import numpy as np
 
 
 class ContractError(ValueError):
@@ -17,3 +22,15 @@ class NumericalError(RuntimeError):
         super().__init__(message)
         self.pivot_index = pivot_index
         self.detail = detail
+
+
+def require(name: str, value, kind) -> None:
+    """ContractError unless ``value`` is an integer (``kind`` int) or a finite
+    real number (``kind`` float); bools count as neither."""
+    if kind is int:
+        ok = isinstance(value, numbers.Integral)
+    else:
+        ok = isinstance(value, numbers.Real) and np.isfinite(value)
+    if isinstance(value, bool) or not ok:
+        what = "an integer" if kind is int else "a finite number"
+        raise ContractError(f"{name} must be {what}, got {value!r}")

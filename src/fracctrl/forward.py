@@ -46,9 +46,8 @@ class CoefficientSet:
     """Drift/noise coefficients b, sigma with their partials in x and u.
 
     Each callable takes (n, x, u) with x, u per-path arrays and returns a
-    broadcastable array.  ``lipschitz`` is the declared joint constant in
-    (x, u); check_partials spot-checks the declared partials by finite
-    differences.
+    broadcastable array; check_partials spot-checks the declared partials by
+    finite differences.
     """
 
     b: Callable
@@ -57,7 +56,6 @@ class CoefficientSet:
     b_u: Callable
     sigma_x: Callable
     sigma_u: Callable
-    lipschitz: Optional[float] = None
 
 
 @dataclass

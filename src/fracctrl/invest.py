@@ -35,7 +35,6 @@ writes byte-deterministic CSV/JSON outputs plus a standalone plot script.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -43,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .backward import BsdeSolution, DriverSpec
-from .errors import ContractError, NumericalError
+from .errors import ContractError, NumericalError, require
 from .forward import CoefficientSet, ControlProcess, StatePath, simulate_state
 from .fracnoise import (
     InnovationSystem,
@@ -68,18 +67,6 @@ __all__ = [
     "write_wealth_csv",
     "write_adjoint_csv",
 ]
-
-
-def _require(name: str, value, kind) -> None:
-    """ContractError unless ``value`` is an integer (``kind`` int) or a finite
-    real number (``kind`` float); bools count as neither."""
-    if kind is int:
-        ok = isinstance(value, numbers.Integral)
-    else:
-        ok = isinstance(value, numbers.Real) and np.isfinite(value)
-    if isinstance(value, bool) or not ok:
-        what = "an integer" if kind is int else "a finite number"
-        raise ContractError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -112,10 +99,10 @@ class InvestConfig:
 
     def __post_init__(self):
         for name in ("consumption_period", "horizon", "paths", "seed"):
-            _require(name, getattr(self, name), int)
+            require(name, getattr(self, name), int)
         for name in ("mu", "r", "sigma", "lam", "gamma_exp", "beta_exp", "c", "wealth_weight",
                      "risk_weight", "hurst", "x0"):
-            _require(name, getattr(self, name), float)
+            require(name, getattr(self, name), float)
         if not 0 < self.hurst < 1:
             raise ContractError(f"hurst must lie in (0, 1), got {self.hurst}")
         if self.r <= 0:
@@ -142,7 +129,7 @@ class InvestConfig:
                     f"consumption_times must be a sequence of steps, got {self.consumption_times!r}"
                 )
             for t in self.consumption_times:
-                _require("consumption time", t, int)
+                require("consumption time", t, int)
             times = tuple(sorted({int(t) for t in self.consumption_times}))
             if not times:
                 raise ContractError("consumption_times must not be empty; omit it for the periodic set")
@@ -188,7 +175,6 @@ def coefficient_set(config: InvestConfig) -> CoefficientSet:
         b_u=lambda n, x, u: mu - r,
         sigma_x=lambda n, x, u: 0.0,
         sigma_u=lambda n, x, u: sig,
-        lipschitz=max(abs((1 + r) * (1 - c) - 1), r) + max(mu - r, sig),
     )
 
 

@@ -1,15 +1,19 @@
 """Tests for the truncated backward solver and its two backends."""
 
 import json
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fracctrl import ContractError, NumericalError
 from fracctrl.backward import (
     BsdeSolution,
     DriverSpec,
+    _poly_design,
     cauchy_diagnostic,
     conditional_expectation,
     solve_truncated,
@@ -59,12 +63,38 @@ def last_increment_model():
     )
 
 
-def simulate_white(n_steps, n_paths, seed):
-    sys = build_innovation_system(0.5, n_steps)
+def simulate_white(n_steps, n_paths, seed, hurst=0.5):
+    sys = build_innovation_system(hurst, n_steps)
     noise = sample_ensemble(sys, seed, n_paths)
     control = ControlProcess(values=np.zeros(n_steps))
     state = simulate_state(last_increment_model(), control, noise, 0.0)
     return sys, state
+
+
+def reference_design(features, degree):
+    """The column-by-column monomial design the in-place builder replaces."""
+    cols, names = [np.ones(features.shape[0])], ["1"]
+    for d in range(1, degree + 1):
+        for combo in combinations_with_replacement(range(features.shape[1]), d):
+            cols.append(np.prod(features[:, combo], axis=1))
+            names.append("*".join(f"x{i}" for i in combo))
+    return np.column_stack(cols), names
+
+
+def reference_regression_solve(f, state, n_trunc, lam, gamma_exp, window, degree):
+    """Backward regression loop with one design and one fit per target."""
+    ratios = np.exp(-lam * np.diff(np.arange(n_trunc + 1, dtype=float) ** gamma_exp))
+    xi, eta, x = state.noise.xi, state.noise.eta, state.values
+    y = np.zeros((state.n_paths, n_trunc + 1))
+    z = np.zeros((state.n_paths, n_trunc))
+    for n in range(n_trunc - 1, -1, -1):
+        m = n + 1
+        z_m = z[:, m] if m < n_trunc else np.zeros(state.n_paths)
+        target = ratios[n] * (y[:, m] + f(m, x[:, m], y[:, m], z_m, None))
+        design, _ = reference_design(xi[:, max(0, n - window) : n], degree)
+        for out, column in ((y, target), (z, eta[:, n] * target)):
+            out[:, n] = design @ np.linalg.lstsq(design, column, rcond=None)[0]
+    return y, z
 
 
 class TestConditionalExpectation:
@@ -114,8 +144,61 @@ class TestConditionalExpectation:
         assert "basis" in err.value.detail
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
+        with pytest.raises(ContractError, match="backend"):
             conditional_expectation(np.zeros(3), None, "oracle")
+
+    @pytest.mark.parametrize("window", range(6))
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_design_matches_the_column_stack_reference(self, window, degree):
+        # A strided slice, as solve_truncated passes a window of xi.
+        feats = np.random.default_rng(window).standard_normal((300, 8))[:, 1 : 1 + window]
+        design, names = _poly_design(feats, degree)
+        want, want_names = reference_design(feats, degree)
+        assert names == want_names
+        assert np.array_equal(design, want), "in-place design must be bit-identical"
+
+    def test_two_column_fit_equals_two_single_fits(self):
+        rng = np.random.default_rng(17)
+        feats = rng.standard_normal((2000, 3))
+        targets = np.column_stack(
+            [np.abs(feats[:, 0]) + rng.standard_normal(2000), np.tanh(feats[:, 1] * feats[:, 2])]
+        )
+        fitted = conditional_expectation(targets, feats, "regression")
+        assert fitted.shape == targets.shape
+        for j in range(2):
+            single = conditional_expectation(targets[:, j], feats, "regression")
+            assert_allclose(fitted[:, j], single, rtol=0, atol=1e-12)
+
+    def test_exact_projects_each_column(self):
+        targets = np.column_stack([np.full(5, 3.25), np.full(5, -1.5), np.zeros(5)])
+        out = conditional_expectation(targets, None, "exact")
+        assert out.shape == (5, 3)
+        assert_allclose(out, targets, rtol=0, atol=0)
+        targets[2, 1] += 0.001
+        with pytest.raises(ContractError, match="spread 1.000e-03"):
+            conditional_expectation(targets, None, "exact")
+
+    def test_degenerate_features_raise_with_several_targets(self):
+        with pytest.raises(NumericalError, match="rank-deficient") as err:
+            conditional_expectation(np.ones((50, 2)), np.zeros((50, 1)), "regression")
+        assert err.value.detail["basis"] == ["1", "x0", "x0*x0"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_paths=st.integers(60, 400),
+        window=st.integers(0, 4),
+        degree=st.integers(1, 3),
+        k=st.integers(1, 3),
+    )
+    def test_fit_keeps_the_mean_and_an_orthogonal_residual(self, seed, n_paths, window, degree, k):
+        rng = np.random.default_rng(seed)
+        feats = rng.standard_normal((n_paths, window))
+        targets = rng.standard_normal((n_paths, k)) + np.sin(feats.sum(axis=1))[:, None]
+        resid = targets - conditional_expectation(targets, feats, "regression", degree)
+        design, _ = reference_design(feats, degree)
+        assert np.max(np.abs(resid.mean(axis=0))) <= 1e-10
+        assert np.max(np.abs(design.T @ resid)) / n_paths <= 1e-10
 
 
 class TestSolveTruncatedExact:
@@ -201,15 +284,41 @@ class TestSolveTruncatedExact:
 
     def test_validation_errors(self):
         driver = constant_driver(1.0)
-        with pytest.raises(ValueError, match="truncation"):
+        with pytest.raises(ContractError, match="truncation"):
             solve_truncated(driver, None, None, 0, 1.0, 2.0, backend="exact")
-        with pytest.raises(ValueError, match="lam"):
+        with pytest.raises(ContractError, match="lam"):
             solve_truncated(driver, None, None, 3, -1.0, 2.0, backend="exact")
         with pytest.raises(ContractError, match="regression backend needs"):
             solve_truncated(driver, None, None, 3, 1.0, 2.0, backend="regression")
         with_g = DriverSpec(f=driver.f, g=lambda n, x, y, z, u: 1.0 + 0.0 * y)
         with pytest.raises(ContractError, match="innovation system"):
             solve_truncated(with_g, None, None, 3, 1.0, 2.0, backend="exact")
+
+    @pytest.mark.parametrize(
+        "truncation,lam,gamma_exp,message",
+        [
+            (2.5, 1.0, 2.0, "truncation must be an integer"),
+            (3.0, 1.0, 2.0, "truncation must be an integer"),
+            (True, 1.0, 2.0, "truncation must be an integer"),
+            ("3", 1.0, 2.0, "truncation must be an integer"),
+            (3, float("nan"), 2.0, "lam must be a finite number"),
+            (3, float("inf"), 2.0, "lam must be a finite number"),
+            (3, True, 2.0, "lam must be a finite number"),
+            (3, 1.0, float("nan"), "gamma_exp must be a finite number"),
+            (3, 1.0, float("inf"), "gamma_exp must be a finite number"),
+            (3, 1.0, 1.0, "gamma_exp > 1"),
+        ],
+    )
+    def test_rejects_malformed_parameters(self, truncation, lam, gamma_exp, message):
+        with pytest.raises(ContractError, match=message):
+            solve_truncated(constant_driver(1.0), None, None, truncation, lam, gamma_exp,
+                            backend="exact")
+
+    def test_numpy_integer_truncation(self):
+        sol = solve_truncated(constant_driver(0.7), None, None, np.int64(3), 1.0, 2.0,
+                              backend="exact")
+        assert sol.truncation == 3
+        assert_allclose(sol.y[0], CONST_Y, rtol=0, atol=1e-12)
 
     def test_horizon_contracts(self):
         sys, state = simulate_white(4, 8, seed=3)
@@ -285,6 +394,32 @@ class TestRegressionBackend:
         assert sol.diagnostics["window"] == 1
         assert np.all(np.isfinite(sol.y))
 
+    def test_matches_one_fit_per_target(self):
+        # f reads z, so both fitted columns feed the next step.
+        _, state = simulate_white(5, 3000, seed=41, hurst=0.7)
+
+        def f(n, x, y, z, u):
+            return np.abs(x) + 0.3 * y + 0.2 * z
+
+        sol = solve_truncated(DriverSpec(f=f), state, None, 5, 0.3, 1.5, backend="regression")
+        want_y, want_z = reference_regression_solve(f, state, 5, 0.3, 1.5, window=3, degree=2)
+        assert_allclose(sol.y, want_y, rtol=0, atol=1e-12)
+        assert_allclose(sol.z, want_z, rtol=0, atol=1e-12)
+
+    def test_rank_deficient_fit_names_its_step(self):
+        # xi_0 = 0 on every path: with window 1 only step 1 regresses on it.
+        _, state = simulate_white(4, 200, seed=43)
+        xi = state.noise.xi.copy()
+        xi[:, 0] = 0.0
+        noise = NoiseEnsemble(seed=state.noise.seed, eta=state.noise.eta, xi=xi)
+        flat = simulate_state(last_increment_model(), ControlProcess(values=np.zeros(4)), noise, 0.0)
+        driver = DriverSpec(f=lambda n, x, y, z, u: x + 0.0 * y)
+        with pytest.raises(NumericalError, match="step 1: regression design is rank-deficient") as err:
+            solve_truncated(driver, flat, None, 4, 0.3, 1.5, backend="regression", window=1)
+        assert err.value.detail["step"] == 1
+        assert err.value.detail["basis"] == ["1", "x0", "x0*x0"]
+        assert len(err.value.detail["singular_values"]) == 3
+
     def test_too_few_paths_for_the_basis(self):
         _, state = simulate_white(4, 5, seed=33)
         driver = DriverSpec(f=lambda n, x, y, z, u: x + 0.0 * y)
@@ -317,8 +452,10 @@ class TestCauchyDiagnostic:
 
     def test_needs_two_levels(self):
         params = WeightedNormParams(lam=0.5, gamma_exp=1.5, base_power=1.0, direction="backward")
-        with pytest.raises(ValueError, match="two truncation levels"):
+        with pytest.raises(ContractError, match="two truncation levels"):
             cauchy_diagnostic(constant_driver(1.0), None, None, [4], params, backend="exact")
+        with pytest.raises(ContractError, match="truncation level must be an integer"):
+            cauchy_diagnostic(constant_driver(1.0), None, None, [2, 4.5], params, backend="exact")
 
 
 class TestSolutionCsv:
