@@ -39,6 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._csv import write_csv
 from .errors import ContractError, NumericalError, require
 from .forward import StatePath
 from .fracnoise import InnovationSystem, prediction_matrix
@@ -86,10 +87,6 @@ class BsdeSolution:
     gamma_exp: float
     backend: str
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def n_paths(self) -> int:
-        return self.y.shape[0]
 
 
 def _poly_design(features: np.ndarray, degree: int):
@@ -333,9 +330,4 @@ def cauchy_diagnostic(
 
 def write_solution_csv(solution: BsdeSolution, path) -> None:
     """Dump (path_id, n, Y, Z) rows, 17 digits; Z is empty at the terminal."""
-    with open(path, "w", newline="") as fh:
-        fh.write("path_id,n,Y,Z\n")
-        for i in range(solution.n_paths):
-            for n in range(solution.truncation + 1):
-                z_txt = f"{solution.z[i, n]:.17g}" if n < solution.truncation else ""
-                fh.write(f"{i},{n},{solution.y[i, n]:.17g},{z_txt}\n")
+    write_csv(path, "path_id,n,Y,Z", [(solution.y.shape, [0, 1, solution.y, solution.z])])

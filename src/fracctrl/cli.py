@@ -30,8 +30,7 @@ import numpy as np
 from .backward import DriverSpec, cauchy_diagnostic
 from .errors import ContractError, NumericalError
 from .fracnoise import build_innovation_system, write_loadings_csv
-from .invest import InvestConfig, consumption_indicator, run_experiment
-from .smp import solve_adjoint_k
+from .invest import InvestConfig, adjoint_tables, run_experiment
 from .spaces import WeightedNormParams
 
 __all__ = ["build_parser", "main"]
@@ -112,11 +111,7 @@ def _converge_driver(args, n_top: int) -> DriverSpec:
         return DriverSpec(f=lambda n, x, y, z, u: c)
     # invest-adjoint: the deterministic (p, q) recursion of the investment
     # problem, solvable by the exact backend at any truncation.
-    cfg = InvestConfig(lam=args.lambda_, gamma_exp=args.gamma_exp)
-    chi = consumption_indicator(cfg, n_top)
-    k = solve_adjoint_k(0.5 * cfg.lam, 0.0, n_top)
-    b_x = (1 + cfg.r) * (1 - cfg.c * chi) - 1
-    f_x = -cfg.wealth_weight * chi
+    b_x, f_x, k = adjoint_tables(InvestConfig(lam=args.lambda_, gamma_exp=args.gamma_exp), n_top)
     return DriverSpec(f=lambda n, x, y, z, u: b_x[n] * y - f_x[n] * k[n])
 
 

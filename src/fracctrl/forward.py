@@ -26,6 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._csv import write_csv
 from .errors import ContractError, NumericalError
 from .fracnoise import NoiseEnsemble
 
@@ -190,7 +191,7 @@ def perturb_control(u_star, u_tilde, eps: float) -> ControlProcess:
     """Convex perturbation (1 - eps) u* + eps u~ for eps in [0, 1]."""
     eps = float(eps)
     if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must lie in [0, 1], got {eps}")
+        raise ContractError(f"eps must lie in [0, 1], got {eps}")
     a, b = _control_values(u_star), _control_values(u_tilde)
     if a.shape[-1] != b.shape[-1]:
         raise ContractError(f"control lengths differ: {a.shape[-1]} vs {b.shape[-1]}")
@@ -223,11 +224,5 @@ def check_partials(coeffs: CoefficientSet, n: int, x, u, step: float = 1e-6) -> 
 
 def write_trajectory_csv(state: StatePath, path) -> None:
     """Dump (path_id, n, X, u, xi) rows, one per step, 17 digits."""
-    xi = state.noise.xi
-    with open(path, "w", newline="") as fh:
-        fh.write("path_id,n,X,u,xi\n")
-        for i in range(state.n_paths):
-            for n in range(state.horizon):
-                fh.write(
-                    f"{i},{n},{state.values[i, n]:.17g},{state.controls[i, n]:.17g},{xi[i, n]:.17g}\n"
-                )
+    columns = [0, 1, state.values, state.controls, state.noise.xi]
+    write_csv(path, "path_id,n,X,u,xi", [(state.controls.shape, columns)])

@@ -46,6 +46,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dpotrf
 
+from ._csv import write_csv
 from .errors import ContractError, NumericalError
 
 __all__ = [
@@ -309,9 +310,10 @@ def gaussian_abs_moment(m: float) -> float:
 
 def write_loadings_csv(system: InnovationSystem, path) -> None:
     """Dump beta, alpha, gamma as (matrix, row, col, value) rows, 17 digits."""
-    with open(path, "w", newline="") as fh:
-        fh.write("matrix,row,col,value\n")
+
+    def tables():
         for name, mat in (("beta", system.beta), ("alpha", system.alpha), ("gamma", system.gamma)):
             rows, cols = np.nonzero(mat)
-            for i, j in zip(rows, cols):
-                fh.write(f"{name},{i},{j},{mat[i, j]:.17g}\n")
+            yield rows.shape, [name, rows, cols, mat[rows, cols]]
+
+    write_csv(path, "matrix,row,col,value", tables())

@@ -41,6 +41,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._csv import write_csv
 from .backward import BsdeSolution, DriverSpec
 from .errors import ContractError, NumericalError, require
 from .forward import CoefficientSet, ControlProcess, StatePath, simulate_state
@@ -58,6 +59,7 @@ __all__ = [
     "InvestAdjoint",
     "InvestResult",
     "consumption_indicator",
+    "adjoint_tables",
     "coefficient_set",
     "cost_driver",
     "solve_adjoint",
@@ -143,10 +145,11 @@ class InvestConfig:
         if self.paths < 1:
             raise ContractError(f"paths must be >= 1, got {self.paths}")
 
-    def is_consumption_time(self, n: int) -> bool:
+    def chi(self, n: int) -> float:
+        """Consumption indicator chi_n: 1.0 at a consumption step, else 0.0."""
         if self.consumption_times is not None:
-            return n in self.consumption_times
-        return n >= self.consumption_period and n % self.consumption_period == 0
+            return float(n in self.consumption_times)
+        return float(n >= self.consumption_period and n % self.consumption_period == 0)
 
     def adjoint_truncation(self) -> int:
         """Default solve horizon for (p, q): past every consumption date that
@@ -158,20 +161,36 @@ class InvestConfig:
 
 def consumption_indicator(config: InvestConfig, n_max: int) -> np.ndarray:
     """0/1 table chi_n for n = 0, ..., n_max."""
-    return np.array([1.0 if config.is_consumption_time(n) else 0.0 for n in range(n_max + 1)])
+    return np.array([config.chi(n) for n in range(n_max + 1)])
+
+
+def adjoint_tables(config: InvestConfig, truncation: int):
+    """Per-step tables (b_x, f_x, k) over 0..truncation of the adjoint solve.
+
+    Raises NumericalError naming the first step where the chain k overflows.
+    """
+    with np.errstate(over="ignore"):
+        k = solve_adjoint_k(0.5 * config.lam, 0.0, truncation)
+    if not np.all(np.isfinite(k)):
+        step, growth = int(np.argmin(np.isfinite(k))), 1 + 0.5 * config.lam
+        raise NumericalError(
+            f"adjoint chain k overflows at step {step}: it grows by the factor "
+            f"1 + lam/2 = {growth:g} per step over the adjoint truncation {truncation}",
+            detail={"step": step, "growth": growth},
+        )
+    chi = consumption_indicator(config, truncation)
+    b_x = (1 + config.r) * (1 - config.c * chi) - 1
+    f_x = -config.wealth_weight * chi
+    return b_x, f_x, k
 
 
 def coefficient_set(config: InvestConfig) -> CoefficientSet:
     """Wealth drift/noise coefficients with their exact partials."""
     mu, r, sig, c = config.mu, config.r, config.sigma, config.c
-
-    def chi(n):
-        return 1.0 if config.is_consumption_time(n) else 0.0
-
     return CoefficientSet(
-        b=lambda n, x, u: ((1 + r) * (1 - c * chi(n)) - 1) * x + (mu - r) * u,
+        b=lambda n, x, u: ((1 + r) * (1 - c * config.chi(n)) - 1) * x + (mu - r) * u,
         sigma=lambda n, x, u: sig * u,
-        b_x=lambda n, x, u: (1 + r) * (1 - c * chi(n)) - 1,
+        b_x=lambda n, x, u: (1 + r) * (1 - c * config.chi(n)) - 1,
         b_u=lambda n, x, u: mu - r,
         sigma_x=lambda n, x, u: 0.0,
         sigma_u=lambda n, x, u: sig,
@@ -181,13 +200,9 @@ def coefficient_set(config: InvestConfig) -> CoefficientSet:
 def cost_driver(config: InvestConfig) -> DriverSpec:
     """Running cost (lam/2) y - Q x chi_n + R v^beta with declared partials."""
     lam, q_w, r_w, beta = config.lam, config.wealth_weight, config.risk_weight, config.beta_exp
-
-    def chi(n):
-        return 1.0 if config.is_consumption_time(n) else 0.0
-
     return DriverSpec(
-        f=lambda n, x, y, z, u: 0.5 * lam * y - q_w * x * chi(n) + r_w * u**beta,
-        f_x=lambda n, x, y, z, u: -q_w * chi(n),
+        f=lambda n, x, y, z, u: 0.5 * lam * y - q_w * x * config.chi(n) + r_w * u**beta,
+        f_x=lambda n, x, y, z, u: -q_w * config.chi(n),
         f_y=lambda n, x, y, z, u: 0.5 * lam,
         f_z=lambda n, x, y, z, u: 0.0,
         f_u=lambda n, x, y, z, u: beta * r_w * u ** (beta - 1),
@@ -210,12 +225,6 @@ class InvestAdjoint:
     truncation: int
     solution: BsdeSolution
 
-    def rows(self):
-        """(n, p_n, q_n or None, k_n) tuples over the full table."""
-        for n in range(self.truncation + 1):
-            q_n = float(self.q[n]) if n < self.truncation else None
-            yield n, float(self.p[n]), q_n, float(self.k[n])
-
 
 def solve_adjoint(config: InvestConfig, truncation: Optional[int] = None) -> InvestAdjoint:
     """Solve the chain k and the pair (p, q) on an extended horizon.
@@ -228,18 +237,7 @@ def solve_adjoint(config: InvestConfig, truncation: Optional[int] = None) -> Inv
         raise ContractError(
             f"adjoint truncation {n_trunc} must reach the run horizon {config.horizon}"
         )
-    with np.errstate(over="ignore"):
-        k = solve_adjoint_k(0.5 * config.lam, 0.0, n_trunc)
-    if not np.all(np.isfinite(k)):
-        step, growth = int(np.argmin(np.isfinite(k))), 1 + 0.5 * config.lam
-        raise NumericalError(
-            f"adjoint chain k overflows at step {step}: it grows by the factor "
-            f"1 + lam/2 = {growth:g} per step over the adjoint truncation {n_trunc}",
-            detail={"step": step, "growth": growth},
-        )
-    chi = consumption_indicator(config, n_trunc)
-    b_x = (1 + config.r) * (1 - config.c * chi) - 1
-    f_x = -config.wealth_weight * chi
+    b_x, f_x, k = adjoint_tables(config, n_trunc)
     solution = solve_adjoint_pq(
         b_x, 0.0, f_x, k, n_trunc, config.lam, config.gamma_exp, backend="exact"
     )
@@ -260,8 +258,7 @@ def closed_form_control(config: InvestConfig, n: int, x, p_n: float, k_n: float,
     bracket, so step 0 is bang-bang on the sign of the slope.
     """
     x = np.asarray(x, dtype=float)
-    chi = 1.0 if config.is_consumption_time(n) else 0.0
-    cap = np.maximum(x * (1 - config.c * chi), 0.0)
+    cap = np.maximum(x * (1 - config.c * config.chi(n)), 0.0)
     slope = (config.mu - config.r + config.sigma * np.asarray(pred, dtype=float)) * p_n
     if k_n == 0.0:
         if n != 0:
@@ -327,22 +324,13 @@ def _clamp_stats(controls: np.ndarray, caps: np.ndarray) -> dict:
 
 def write_wealth_csv(result: InvestResult, path) -> None:
     """Dump (path_id, n, X, v) rows over n = 0..horizon, 17 digits."""
-    with open(path, "w", newline="") as fh:
-        fh.write("path_id,n,X,v\n")
-        for i in range(result.state.n_paths):
-            for n in range(result.state.horizon + 1):
-                fh.write(
-                    f"{i},{n},{result.state.values[i, n]:.17g},{result.controls[i, n]:.17g}\n"
-                )
+    columns = [0, 1, result.state.values, result.controls]
+    write_csv(path, "path_id,n,X,v", [(result.controls.shape, columns)])
 
 
 def write_adjoint_csv(adjoint: InvestAdjoint, path) -> None:
     """Dump (n, p, q, k) rows, 17 digits; q is empty at the terminal."""
-    with open(path, "w", newline="") as fh:
-        fh.write("n,p,q,k\n")
-        for n, p_n, q_n, k_n in adjoint.rows():
-            q_txt = f"{q_n:.17g}" if q_n is not None else ""
-            fh.write(f"{n},{p_n:.17g},{q_txt},{k_n:.17g}\n")
+    write_csv(path, "n,p,q,k", [(adjoint.p.shape, [0, adjoint.p, adjoint.q, adjoint.k])])
 
 
 _PLOT_SCRIPT = """\
@@ -468,7 +456,7 @@ def _write_outputs(result: InvestResult) -> None:
 
     resolved = asdict(result.config)
     resolved["consumption_times_resolved"] = [
-        n for n in range(result.config.horizon + 1) if result.config.is_consumption_time(n)
+        n for n in range(result.config.horizon + 1) if result.config.chi(n)
     ]
     resolved["adjoint_truncation"] = result.adjoint.truncation
     resolved["check_passed"] = result.check["passed"]

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backward import BsdeSolution, DriverSpec, solve_truncated
+from .backward import BsdeSolution, DriverSpec, _control_at, solve_truncated
 from .errors import ContractError
 from .forward import CoefficientSet, StatePath
 from .fracnoise import InnovationSystem, prediction_matrix
@@ -76,7 +76,7 @@ def solve_adjoint_k(f_y, f_z, n_steps: int, eta=None) -> np.ndarray:
     n_steps+1), otherwise (n_steps+1,).
     """
     if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+        raise ContractError(f"n_steps must be >= 0, got {n_steps}")
     fy = np.asarray(f_y, dtype=float)
     fz = np.asarray(f_z, dtype=float)
     used = slice(1, n_steps)
@@ -203,11 +203,7 @@ def bracket_values(
     zeros = np.zeros(n_paths)
     for n in range(n_trunc + 1):
         x_n = state.values[:, n]
-        u_n = (
-            np.broadcast_to(controls[..., n], (n_paths,))
-            if n < controls.shape[-1]
-            else np.full(n_paths, np.nan)
-        )
+        u_n = _control_at(controls, n, n_paths)
         y_n = cost_solution.y[:, n] if cost_solution is not None else zeros
         z_n = (
             cost_solution.z[:, n]
@@ -337,11 +333,7 @@ def solve_variational(
     n_paths = variation.n_paths
 
     def f(m, x, y, z, u):
-        v_m = (
-            np.broadcast_to(v[..., m], (n_paths,))
-            if m < v.shape[-1]
-            else np.full(n_paths, np.nan)
-        )
+        v_m = _control_at(v, m, n_paths)
         return _at(f_x, m) * xhat[:, m] + _at(f_y, m) * y + _at(f_z, m) * z + _at(f_u, m) * v_m
 
     return solve_truncated(

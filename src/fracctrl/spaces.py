@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ContractError, require
+
 __all__ = [
-    "DeltaVector",
     "WeightedNormParams",
     "WeightedNormResult",
     "delta_term",
@@ -39,18 +40,19 @@ __all__ = [
 
 
 def _check_theta(theta: float) -> float:
+    require("theta", theta, float)
     theta = float(theta)
     if theta <= 1.0:
-        raise ValueError(f"theta must be > 1, got {theta}")
+        raise ContractError(f"theta must be > 1, got {theta}")
     return theta
 
 
 def delta_term(theta: float, n: int) -> float:
     """delta_n = 1 - (n + 2)^{-theta} for n >= 1; lies in (0, 1)."""
     theta = _check_theta(theta)
-    n = int(n)
+    require("term index", n, int)
     if n < 1:
-        raise ValueError(f"term index must be >= 1, got {n}")
+        raise ContractError(f"term index must be >= 1, got {n}")
     return 1.0 - (n + 2.0) ** (-theta)
 
 
@@ -61,9 +63,9 @@ def delta_products(theta: float, n_max: int) -> np.ndarray:
     millions of terms the bound checks use.
     """
     theta = _check_theta(theta)
-    n_max = int(n_max)
+    require("n_max", n_max, int)
     if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+        raise ContractError(f"n_max must be >= 0, got {n_max}")
     out = np.empty(n_max + 1)
     out[0] = 1.0
     if n_max:
@@ -78,26 +80,6 @@ def product_lower_bound(theta: float) -> float:
     return float(
         np.exp(2.0 ** (1.0 - theta) / (1.0 - theta) + 2.0 ** (1.0 - 2.0 * theta) / (1.0 - 2.0 * theta))
     )
-
-
-@dataclass(frozen=True)
-class DeltaVector:
-    """The exponent ladder for one theta."""
-
-    theta: float
-
-    def __post_init__(self):
-        _check_theta(self.theta)
-
-    def term(self, n: int) -> float:
-        return delta_term(self.theta, n)
-
-    def products(self, n_max: int) -> np.ndarray:
-        return delta_products(self.theta, n_max)
-
-    @property
-    def lower_bound(self) -> float:
-        return product_lower_bound(self.theta)
 
 
 @dataclass(frozen=True)
@@ -116,14 +98,16 @@ class WeightedNormParams:
     theta: float | None = None
 
     def __post_init__(self):
+        for name in ("lam", "gamma_exp", "base_power"):
+            require(name, getattr(self, name), float)
         if self.lam <= 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
+            raise ContractError(f"lam must be > 0, got {self.lam}")
         if self.gamma_exp <= 1:
-            raise ValueError(f"gamma_exp must be > 1, got {self.gamma_exp}")
+            raise ContractError(f"gamma_exp must be > 1, got {self.gamma_exp}")
         if self.base_power <= 0:
-            raise ValueError(f"base_power must be > 0, got {self.base_power}")
+            raise ContractError(f"base_power must be > 0, got {self.base_power}")
         if self.direction not in ("forward", "backward"):
-            raise ValueError(f"direction must be 'forward' or 'backward', got {self.direction!r}")
+            raise ContractError(f"direction must be 'forward' or 'backward', got {self.direction!r}")
         if self.theta is not None:
             _check_theta(self.theta)
 
@@ -165,12 +149,13 @@ def weighted_norm(values, params: WeightedNormParams, truncation: int | None = N
     if values.ndim == 1:
         values = values[None, :]
     if values.ndim != 2:
-        raise ValueError(f"values must be 1- or 2-dimensional, got shape {values.shape}")
+        raise ContractError(f"values must be 1- or 2-dimensional, got shape {values.shape}")
     n_max = values.shape[1] - 1
     if truncation is None:
         truncation = n_max
+    require("truncation", truncation, int)
     if not 0 <= truncation <= n_max:
-        raise ValueError(f"truncation must lie in [0, {n_max}], got {truncation}")
+        raise ContractError(f"truncation must lie in [0, {n_max}], got {truncation}")
     powers = params.exponents(truncation)
     weights = params.weights(truncation)
     moments = np.mean(np.abs(values[:, : truncation + 1]) ** powers, axis=0)

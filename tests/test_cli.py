@@ -52,6 +52,16 @@ class TestBsdeConverge:
         data = json.loads((tmp_path / "convergence.json").read_text())
         assert data["rows"][-1]["norm_y"] < data["rows"][0]["norm_y"]
 
+    def test_invest_adjoint_overflow_names_the_step(self, capsys):
+        argv = ["bsde-converge", "--model", "invest-adjoint", "--lambda", "1.0", "--N-list", "10,2000"]
+        assert main(argv) == 1
+        assert "adjoint chain k overflows at step 1752" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theta", ["nan", "inf", "0.5"])
+    def test_bad_theta_exits_2(self, theta, capsys):
+        assert main(["bsde-converge", "--theta", theta, "--N-list", "4,8"]) == 2
+        assert "theta" in capsys.readouterr().err
+
     def test_theta_ladder_accepted(self):
         assert main(["bsde-converge", "--theta", "2.0", "--N-list", "4,8,16"]) == 0
 

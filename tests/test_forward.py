@@ -205,7 +205,7 @@ class TestPerturb:
     def test_domain(self):
         a = np.zeros(2)
         for eps in (-0.1, 1.1):
-            with pytest.raises(ValueError):
+            with pytest.raises(ContractError):
                 fw.perturb_control(a, a, eps)
 
     def test_bounds_carry_when_shared(self):

@@ -99,7 +99,7 @@ class TestAdjointChain:
             solve_adjoint_k(0.0, 1.0, 4)
         with pytest.raises(ContractError, match="shape"):
             solve_adjoint_k(0.0, 1.0, 4, eta=np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="n_steps"):
+        with pytest.raises(ContractError, match="n_steps"):
             solve_adjoint_k(0.0, 0.0, -1)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracctrl import spaces as sp
+from fracctrl.errors import ContractError
 
 BOUND_THETA2 = 0.5817778142098083  # exp(-1/2 - 1/24)
 BOUND_THETA3 = 0.876998497358217  # exp(-1/8 - 1/160)
@@ -22,10 +23,20 @@ class TestDeltaTerm:
         assert np.all(np.diff(terms) > 0), "terms increase toward 1"
 
     def test_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             sp.delta_term(1.0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             sp.delta_term(2.0, 0)
+        for n in (1.9, 2.0, True):
+            with pytest.raises(ContractError, match="term index"):
+                sp.delta_term(2.0, n)
+        for n_max in (-1, 2.7, None):
+            with pytest.raises(ContractError, match="n_max"):
+                sp.delta_products(2.0, n_max)
+        assert sp.delta_term(2.0, np.int64(1)) == sp.delta_term(2.0, 1)
+        for theta in (np.nan, np.inf, True, "2.0"):
+            with pytest.raises(ContractError, match="theta"):
+                sp.product_lower_bound(theta)
 
 
 class TestProducts:
@@ -52,14 +63,6 @@ class TestProducts:
         # prod (1 - (i+2)^-2) telescopes to (2/3)(n+3)/(n+2)
         s = sp.delta_products(2.0, 1_000_000)
         np.testing.assert_allclose(s[-1], 2.0 / 3.0, rtol=1e-5)
-
-    def test_delta_vector_wrapper(self):
-        vec = sp.DeltaVector(theta=2.0)
-        assert vec.term(1) == sp.delta_term(2.0, 1)
-        assert vec.lower_bound == sp.product_lower_bound(2.0)
-        np.testing.assert_array_equal(vec.products(10), sp.delta_products(2.0, 10))
-        with pytest.raises(ValueError):
-            sp.DeltaVector(theta=0.5)
 
 
 class TestWeightedNorm:
@@ -113,14 +116,39 @@ class TestWeightedNorm:
         assert float(res) == res.value
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             sp.WeightedNormParams(lam=0.0, gamma_exp=2.0, base_power=2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             sp.WeightedNormParams(lam=1.0, gamma_exp=1.0, base_power=2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             sp.WeightedNormParams(lam=1.0, gamma_exp=2.0, base_power=2.0, direction="sideways")
-        with pytest.raises(ValueError):
-            sp.weighted_norm(np.ones(4), sp.WeightedNormParams(lam=1.0, gamma_exp=2.0, base_power=2.0), truncation=7)
+        params = sp.WeightedNormParams(lam=1.0, gamma_exp=2.0, base_power=2.0)
+        for truncation in (7, -1, 2.5):
+            with pytest.raises(ContractError, match="truncation"):
+                sp.weighted_norm(np.ones(4), params, truncation=truncation)
+        with pytest.raises(ContractError):
+            sp.weighted_norm(np.ones((2, 2, 2)), params)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lam", np.nan),
+            ("lam", np.inf),
+            ("gamma_exp", np.nan),
+            ("gamma_exp", np.inf),
+            ("base_power", np.inf),
+            ("base_power", np.nan),
+            ("base_power", True),
+            ("lam", "1.0"),
+            ("theta", np.nan),
+            ("theta", np.inf),
+            ("theta", 0.5),
+        ],
+    )
+    def test_rejects_non_finite_and_mistyped_fields(self, field, value):
+        kwargs = {"lam": 1.0, "gamma_exp": 2.0, "base_power": 2.0, field: value}
+        with pytest.raises(ContractError, match=field):
+            sp.WeightedNormParams(**kwargs)
 
 
 class TestCompatibility:
