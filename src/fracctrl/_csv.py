@@ -1,7 +1,10 @@
-"""The CSV layout of every table the package writes: a header line, then
-integers as integers, floats as format(x, ".17g") (round-trips every
-float64), strings as they are, and an empty cell where there is no value."""
+"""The layout of every CSV table and JSON report the package writes.
 
+A table is a header line, then integers as integers, floats as
+format(x, ".17g") (round-trips every float64), strings as they are, and an
+empty cell where there is no value."""
+
+import json
 import math
 
 import numpy as np
@@ -32,6 +35,13 @@ def write_csv(path, header: str, tables) -> None:
                 fields, cells = zip(*(_cells(column, index) for column in columns))
                 template = ",".join(fields) + "\n"
                 fh.writelines([template % row for row in zip(*cells)])
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as JSON: two-space indent, sorted keys, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _cells(column, index):

@@ -82,11 +82,14 @@ class BsdeSolution:
 
     y: np.ndarray
     z: np.ndarray
-    truncation: int
     lam: float
     gamma_exp: float
     backend: str
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def truncation(self) -> int:
+        return self.y.shape[1] - 1
 
 
 def _poly_design(features: np.ndarray, degree: int):
@@ -223,18 +226,16 @@ def solve_truncated(
         x_m = x_all[:, m]
         u_m = _control_at(control_values, m, n_paths)
         y_m = y[:, m]
-        z_m = z[:, m] if m < n_trunc else zeros
-        if m == n_trunc:
-            f_val = driver.f1(m, y_m) if driver.f1 is not None else driver.f(m, x_m, y_m, zeros, u_m)
-            if driver.g1 is not None:
-                g_val = driver.g1(m, y_m)
-            elif driver.g is not None:
-                g_val = driver.g(m, x_m, y_m, zeros, u_m)
-            else:
-                g_val = None
+        terminal = m == n_trunc
+        z_m = zeros if terminal else z[:, m]
+        if terminal and driver.f1 is not None:
+            f_val = driver.f1(m, y_m)
         else:
             f_val = driver.f(m, x_m, y_m, z_m, u_m)
-            g_val = driver.g(m, x_m, y_m, z_m, u_m) if driver.g is not None else None
+        if terminal and driver.g1 is not None:
+            g_val = driver.g1(m, y_m)
+        else:
+            g_val = None if driver.g is None else driver.g(m, x_m, y_m, z_m, u_m)
         target = ratios[n] * (y_m + f_val)
         if g_val is not None:
             target = target + ratios[n] * np.broadcast_to(g_val, (n_paths,)) * predictions[:, m]
@@ -266,8 +267,7 @@ def solve_truncated(
         "degree": degree,
     }
     return BsdeSolution(
-        y=y, z=z, truncation=n_trunc, lam=lam, gamma_exp=gamma_exp, backend=backend,
-        diagnostics=diagnostics,
+        y=y, z=z, lam=lam, gamma_exp=gamma_exp, backend=backend, diagnostics=diagnostics
     )
 
 
@@ -288,15 +288,13 @@ def cauchy_diagnostic(
     n_list,
     norm_params: WeightedNormParams,
     backend: str = "exact",
-    control_values=None,
-    window: int = 3,
-    degree: int = 2,
 ) -> list[dict]:
     """Weighted-norm differences between consecutive truncations.
 
-    Solves at each horizon in ``n_list`` (ascending) on the same ensemble and
-    reports, per consecutive pair, the backward-direction weighted norms of
-    the Y and Z differences with the tail term of the Y-norm.
+    Solves at each distinct horizon in ``n_list`` (sorted ascending) on the
+    same ensemble and reports, per consecutive pair, the backward-direction
+    weighted norms of the Y and Z differences with the tail term of the
+    Y-norm.
     """
     levels = list(n_list)
     for n in levels:
@@ -304,10 +302,11 @@ def cauchy_diagnostic(
     n_list = sorted(int(n) for n in levels)
     if len(n_list) < 2:
         raise ContractError("need at least two truncation levels")
+    if len(set(n_list)) < len(n_list):
+        raise ContractError(f"truncation levels must be distinct, got {levels}")
     solutions = {
         n: solve_truncated(
-            driver, state, sys, n, norm_params.lam, norm_params.gamma_exp,
-            backend=backend, control_values=control_values, window=window, degree=degree,
+            driver, state, sys, n, norm_params.lam, norm_params.gamma_exp, backend=backend
         )
         for n in n_list
     }

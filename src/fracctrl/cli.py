@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._csv import write_json
 from .backward import DriverSpec, cauchy_diagnostic
 from .errors import ContractError, NumericalError
 from .fracnoise import build_innovation_system, write_loadings_csv
@@ -34,12 +35,6 @@ from .invest import InvestConfig, adjoint_tables, run_experiment
 from .spaces import WeightedNormParams
 
 __all__ = ["build_parser", "main"]
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _out_dir(args) -> Optional[Path]:
@@ -99,7 +94,7 @@ def cmd_noise_check(args) -> int:
     print("PASS" if passed else f"FAIL (tolerance {args.tolerance:g})")
     out = _out_dir(args)
     if out is not None:
-        _write_json(out / "noise_report.json", report)
+        write_json(out / "noise_report.json", report)
         write_loadings_csv(system, out / "loadings.csv")
         print(f"wrote {out / 'noise_report.json'} and {out / 'loadings.csv'}")
     return 0 if passed else 1
@@ -139,7 +134,7 @@ def cmd_bsde_converge(args) -> int:
     print("PASS (differences shrink)" if decreasing else "FAIL (differences do not shrink)")
     out = _out_dir(args)
     if out is not None:
-        _write_json(
+        write_json(
             out / "convergence.json",
             {
                 "command": "bsde-converge",
@@ -192,7 +187,7 @@ def cmd_smp_check(args) -> int:
     print("PASS" if passed else "FAIL")
     out = _out_dir(args)
     if out is not None:
-        _write_json(out / "smp_report.json", report)
+        write_json(out / "smp_report.json", report)
         print(f"wrote {out / 'smp_report.json'}")
     return 0 if passed else 1
 

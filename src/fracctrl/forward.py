@@ -86,10 +86,6 @@ class ControlProcess:
                 if np.any(self.values < lo) or np.any(self.values > hi):
                     raise ContractError(f"control values leave the admissible interval [{lo}, {hi}]")
 
-    @property
-    def n_steps(self) -> Optional[int]:
-        return None if self.values is None else self.values.shape[-1]
-
     def at(self, n: int, x: np.ndarray, xi_hist: np.ndarray) -> np.ndarray:
         if self.rule is not None:
             return np.broadcast_to(np.asarray(self.rule(n, x, xi_hist), dtype=float), x.shape)
@@ -105,7 +101,6 @@ class StatePath:
 
     values: np.ndarray  # (n_paths, horizon + 1)
     controls: np.ndarray  # (n_paths, horizon)
-    x0: object
     noise: NoiseEnsemble
 
     @property
@@ -153,7 +148,7 @@ def simulate_state(
                 f"state became non-finite at step {n + 1} on path {bad}", detail={"path": bad, "step": n + 1}
             )
         values[:, n + 1] = x_next
-    return StatePath(values=values, controls=controls, x0=x0, noise=noise)
+    return StatePath(values=values, controls=controls, noise=noise)
 
 
 def simulate_variation(coeffs: CoefficientSet, state: StatePath, direction) -> StatePath:
@@ -176,7 +171,7 @@ def simulate_variation(coeffs: CoefficientSet, state: StatePath, direction) -> S
         drift = coeffs.b_x(n, x, u) * xh + coeffs.b_u(n, x, u) * v[:, n]
         noise_load = coeffs.sigma_x(n, x, u) * xh + coeffs.sigma_u(n, x, u) * v[:, n]
         values[:, n + 1] = xh + drift + noise_load * xi[:, n]
-    return StatePath(values=values, controls=v[:, :n_steps].copy(), x0=0.0, noise=state.noise)
+    return StatePath(values=values, controls=v[:, :n_steps].copy(), noise=state.noise)
 
 
 def _control_values(u) -> np.ndarray:

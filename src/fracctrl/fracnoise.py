@@ -39,7 +39,6 @@ generator (ziggurat standard normals), fixed for this build so that identical
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,7 @@ from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dpotrf
 
 from ._csv import write_csv
-from .errors import ContractError, NumericalError
+from .errors import ContractError, NumericalError, require
 
 __all__ = [
     "InnovationSystem",
@@ -157,8 +156,7 @@ def build_innovation_system(h: float, horizon: int) -> InnovationSystem:
     loses positive definiteness to rounding.
     """
     h = _check_hurst(h)
-    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
-        raise ContractError(f"horizon must be an integer, got {horizon!r}")
+    require("horizon", horizon, int)
     horizon = int(horizon)
     if horizon < 1:
         raise ContractError(f"horizon must be >= 1, got {horizon}")
@@ -183,10 +181,6 @@ class NoisePath:
     eta: np.ndarray
     xi: np.ndarray
 
-    @property
-    def n_steps(self) -> int:
-        return self.xi.shape[0]
-
 
 @dataclass(frozen=True)
 class NoiseEnsemble:
@@ -199,10 +193,6 @@ class NoiseEnsemble:
     @property
     def n_paths(self) -> int:
         return self.xi.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.xi.shape[1]
 
     def path(self, i: int) -> NoisePath:
         return NoisePath(seed=self.seed, eta=self.eta[i].copy(), xi=self.xi[i].copy())
@@ -224,10 +214,12 @@ def sample_ensemble(
     truncating to n_steps < horizon samples from exactly the same law as the
     full system restricted to those steps.
     """
+    require("n_paths", n_paths, int)
     if n_paths < 1:
         raise ContractError(f"n_paths must be >= 1, got {n_paths}")
     if n_steps is None:
         n_steps = system.horizon
+    require("n_steps", n_steps, int)
     if not 1 <= n_steps <= system.horizon:
         raise ContractError(
             f"n_steps must lie in [1, horizon={system.horizon}], got {n_steps}"
@@ -266,6 +258,7 @@ def prediction_matrix(system: InnovationSystem, xi, n_max: int) -> np.ndarray:
     Column n of the result is E[xi_n | xi_0, ..., xi_{n-1}] for each path in
     ``xi`` (shape (M, >= n_max)); column 0 is the unconditional mean 0.
     """
+    require("n_max", n_max, int)
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     if n_max > system.horizon - 1:
         raise ContractError(

@@ -34,24 +34,17 @@ writes byte-deterministic CSV/JSON outputs plus a standalone plot script.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from ._csv import write_csv
+from ._csv import write_csv, write_json
 from .backward import BsdeSolution, DriverSpec
 from .errors import ContractError, NumericalError, require
 from .forward import CoefficientSet, ControlProcess, StatePath, simulate_state
-from .fracnoise import (
-    InnovationSystem,
-    NoiseEnsemble,
-    build_innovation_system,
-    predict_next,
-    sample_ensemble,
-)
+from .fracnoise import InnovationSystem, build_innovation_system, predict_next, sample_ensemble
 from .smp import bracket_values, check_necessary_condition, solve_adjoint_k, solve_adjoint_pq
 
 __all__ = [
@@ -213,17 +206,26 @@ def cost_driver(config: InvestConfig) -> DriverSpec:
 class InvestAdjoint:
     """First-order quantities of the investment problem.
 
-    ``p`` and ``k`` are per-step tables over 0..truncation; ``q`` is the
-    martingale coefficient table over 0..truncation-1 and is identically
-    zero because the adjoint recursion is deterministic.  ``solution`` keeps
-    the underlying backward solve for reuse in bracket evaluations.
+    ``k`` is the chain over 0..truncation and ``solution`` the deterministic
+    backward solve of (p, q), kept whole for reuse in bracket evaluations.
+    ``p`` over 0..truncation and ``q`` over 0..truncation-1 are read off it;
+    q is identically zero because the adjoint recursion is deterministic.
     """
 
-    p: np.ndarray
-    q: np.ndarray
     k: np.ndarray
-    truncation: int
     solution: BsdeSolution
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.solution.y[0]
+
+    @property
+    def q(self) -> np.ndarray:
+        return self.solution.z[0]
+
+    @property
+    def truncation(self) -> int:
+        return self.solution.truncation
 
 
 def solve_adjoint(config: InvestConfig, truncation: Optional[int] = None) -> InvestAdjoint:
@@ -232,7 +234,8 @@ def solve_adjoint(config: InvestConfig, truncation: Optional[int] = None) -> Inv
     The recursion is deterministic (coefficients do not depend on the state),
     so the exact backend applies and q vanishes identically.
     """
-    n_trunc = config.adjoint_truncation() if truncation is None else int(truncation)
+    n_trunc = config.adjoint_truncation() if truncation is None else truncation
+    require("truncation", n_trunc, int)
     if n_trunc < config.horizon:
         raise ContractError(
             f"adjoint truncation {n_trunc} must reach the run horizon {config.horizon}"
@@ -241,13 +244,7 @@ def solve_adjoint(config: InvestConfig, truncation: Optional[int] = None) -> Inv
     solution = solve_adjoint_pq(
         b_x, 0.0, f_x, k, n_trunc, config.lam, config.gamma_exp, backend="exact"
     )
-    return InvestAdjoint(
-        p=solution.y[0].copy(),
-        q=solution.z[0].copy(),
-        k=k,
-        truncation=n_trunc,
-        solution=solution,
-    )
+    return InvestAdjoint(k=k, solution=solution)
 
 
 def closed_form_control(config: InvestConfig, n: int, x, p_n: float, k_n: float, pred):
@@ -296,10 +293,6 @@ class InvestResult:
     check: dict
     clamp_stats: dict
     out_dir: Optional[Path] = None
-
-    @property
-    def noise(self) -> NoiseEnsemble:
-        return self.state.noise
 
 
 def _clamp_stats(controls: np.ndarray, caps: np.ndarray) -> dict:
@@ -461,9 +454,7 @@ def _write_outputs(result: InvestResult) -> None:
     resolved["adjoint_truncation"] = result.adjoint.truncation
     resolved["check_passed"] = result.check["passed"]
     resolved["clamp_stats"] = result.clamp_stats
-    with open(out / "config.resolved.json", "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "config.resolved.json", resolved)
 
     with open(out / "plot_wealth.py", "w", newline="") as fh:
         fh.write(_PLOT_SCRIPT)

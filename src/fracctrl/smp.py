@@ -43,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from .backward import BsdeSolution, DriverSpec, _control_at, solve_truncated
-from .errors import ContractError
+from .errors import ContractError, require
 from .forward import CoefficientSet, StatePath
 from .fracnoise import InnovationSystem, prediction_matrix
 
@@ -75,6 +75,7 @@ def solve_adjoint_k(f_y, f_z, n_steps: int, eta=None) -> np.ndarray:
     requires ``eta`` of shape (M, >= n_steps); the result is then (M,
     n_steps+1), otherwise (n_steps+1,).
     """
+    require("n_steps", n_steps, int)
     if n_steps < 0:
         raise ContractError(f"n_steps must be >= 0, got {n_steps}")
     fy = np.asarray(f_y, dtype=float)
@@ -124,6 +125,7 @@ def solve_adjoint_pq(
     therefore needs ``sys``; otherwise the solve is free of the innovation
     system and, for deterministic tables, of any simulated state.
     """
+    require("truncation", truncation, int)
     beta_diag = np.diag(sys.beta)[: truncation + 1] if sys is not None else np.ones(truncation + 1)
     need_g = bool(np.any(np.asarray(sigma_x, dtype=float) != 0.0))
     if need_g and sys is None:
@@ -183,7 +185,8 @@ def bracket_values(
     need the terminal control.  ``cost_solution`` supplies (Y*, Z*) for cost
     partials that read them (zeros otherwise).
     """
-    n_trunc = adjoint.truncation if truncation is None else int(truncation)
+    n_trunc = adjoint.truncation if truncation is None else truncation
+    require("truncation", n_trunc, int)
     if n_trunc > adjoint.truncation:
         raise ContractError(
             f"bracket through step {n_trunc} needs an adjoint solved at least "
@@ -243,6 +246,7 @@ def check_necessary_condition(
     )
     if np.any(hi < lo):
         raise ContractError("upper bound below lower bound somewhere in the admissible box")
+    require("n_trials", n_trials, int)
     if n_trials < 0:
         raise ContractError(f"n_trials must be >= 0, got {n_trials}")
     worst = np.where(b > 0, lo, hi)

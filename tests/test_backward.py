@@ -21,7 +21,7 @@ from fracctrl.backward import (
 )
 from fracctrl.forward import CoefficientSet, ControlProcess, simulate_state
 from fracctrl.fracnoise import NoiseEnsemble, build_innovation_system, sample_ensemble
-from fracctrl.spaces import WeightedNormParams
+from fracctrl.spaces import WeightedNormParams, weighted_norm
 
 # Frozen by direct recursion with c = 0.7, lam = 1, gamma = 2, N = 3:
 # Y_n = c * sum_{j=n+1}^{N} exp(-(j^2 - n^2)); Y_2 = c * e^-5.
@@ -456,6 +456,33 @@ class TestCauchyDiagnostic:
             cauchy_diagnostic(constant_driver(1.0), None, None, [4], params, backend="exact")
         with pytest.raises(ContractError, match="truncation level must be an integer"):
             cauchy_diagnostic(constant_driver(1.0), None, None, [2, 4.5], params, backend="exact")
+
+    def test_repeated_levels_are_refused(self):
+        # A repeated level once gave a row of zero differences.
+        params = WeightedNormParams(lam=0.5, gamma_exp=1.5, base_power=1.0, direction="backward")
+        with pytest.raises(ContractError, match=r"distinct, got \[4, 4, 8\]"):
+            cauchy_diagnostic(constant_driver(1.0), None, None, [4, 4, 8], params, backend="exact")
+
+    def test_regression_rows_difference_two_direct_solves(self):
+        lam, gamma_exp = 0.3, 1.5
+        params = WeightedNormParams(lam=lam, gamma_exp=gamma_exp, base_power=1.0, direction="backward")
+        _, state = simulate_white(6, 2000, seed=41, hurst=0.75)
+        driver = DriverSpec(f=lambda n, x, y, z, u: x + 0.5 * y + 0.2 * z)
+        (row,) = cauchy_diagnostic(driver, state, None, [6, 3], params, backend="regression")
+        short, long = (
+            solve_truncated(driver, state, None, n, lam, gamma_exp, backend="regression")
+            for n in (3, 6)
+        )
+        dy, dz = long.y.copy(), long.z.copy()
+        dy[:, :4] -= short.y
+        dz[:, :3] -= short.z
+        ny, nz = weighted_norm(dy, params), weighted_norm(dz, params)
+        assert (row["n_low"], row["n_high"]) == (3, 6)
+        assert_allclose(
+            [row["norm_y"], row["norm_z"], row["tail_term"]], [ny.value, nz.value, ny.tail_term],
+            rtol=1e-12, atol=0,
+        )
+        assert row["norm_z"] > 0.0, "the regression Z differences must be live"
 
 
 class TestSolutionCsv:

@@ -69,6 +69,12 @@ class TestBsdeConverge:
         assert main(["bsde-converge", "--N-list", "8"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_repeated_level_exits_2(self, capsys):
+        assert main(["bsde-converge", "--N-list", "4,4,8"]) == 2
+        captured = capsys.readouterr()
+        assert "distinct" in captured.err
+        assert "FAIL" not in captured.out
+
 
 class TestSmpCheck:
     def test_report_passes_and_is_written(self, tmp_path):

@@ -91,26 +91,29 @@ def floats(rng, shape, special):
 # Builders: an input whose table has n_paths x n_steps rows.
 def wealth_input(rng, n_paths, n_steps, special):
     controls = floats(rng, (n_paths, n_steps), special)
-    state = StatePath(floats(rng, (n_paths, n_steps), special), controls[:, :-1], 1.0, None)
+    state = StatePath(floats(rng, (n_paths, n_steps), special), controls[:, :-1], None)
     return InvestResult(None, None, None, state, controls, None, None, None)
 
 
 def adjoint_input(rng, n_paths, n_steps, special):
     n = n_paths * n_steps
     p, k = floats(rng, n, special), floats(rng, n, special)
-    return InvestAdjoint(p=p, q=floats(rng, n - 1, special), k=k, truncation=n - 1, solution=None)
+    solution = BsdeSolution(
+        y=p[None], z=floats(rng, (1, n - 1), special), lam=1.0, gamma_exp=2.0, backend="exact"
+    )
+    return InvestAdjoint(k=k, solution=solution)
 
 
 def solution_input(rng, n_paths, n_steps, special):
     y, z = floats(rng, (n_paths, n_steps), special), floats(rng, (n_paths, n_steps - 1), special)
-    return BsdeSolution(y=y, z=z, truncation=n_steps - 1, lam=1.0, gamma_exp=2.0, backend="exact")
+    return BsdeSolution(y=y, z=z, lam=1.0, gamma_exp=2.0, backend="exact")
 
 
 def trajectory_input(rng, n_paths, n_steps, special):
     xi = floats(rng, (n_paths, n_steps), special)
     noise = NoiseEnsemble(seed=0, eta=xi, xi=xi)
     values = floats(rng, (n_paths, n_steps + 1), special)
-    return StatePath(values, floats(rng, (n_paths, n_steps), special), 1.0, noise)
+    return StatePath(values, floats(rng, (n_paths, n_steps), special), noise)
 
 
 def loadings_input(rng, n_paths, n_steps, special):

@@ -199,6 +199,23 @@ class TestSampling:
         with pytest.raises(ContractError):
             fn.sample_ensemble(sys, seed=1, n_paths=0)
 
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_counts_must_be_integers(self, value):
+        sys = fn.build_innovation_system(0.75, 8)
+        xi = fn.sample_ensemble(sys, seed=1, n_paths=2).xi
+        with pytest.raises(ContractError, match="n_paths must be an integer"):
+            fn.sample_ensemble(sys, seed=1, n_paths=value)
+        with pytest.raises(ContractError, match="n_steps must be an integer"):
+            fn.sample_ensemble(sys, seed=1, n_paths=2, n_steps=value)
+        with pytest.raises(ContractError, match="n_max must be an integer"):
+            fn.prediction_matrix(sys, xi, value)
+
+    def test_numpy_integer_counts(self):
+        sys = fn.build_innovation_system(0.75, 8)
+        noise = fn.sample_ensemble(sys, seed=1, n_paths=np.int64(2), n_steps=np.int32(5))
+        assert noise.xi.shape == (2, 5)
+        assert fn.prediction_matrix(sys, noise.xi, np.int64(5)).shape == (2, 6)
+
 
 class TestPrediction:
     def test_empty_prefix(self):

@@ -1,5 +1,6 @@
 """Tests for the investment/consumption application."""
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -160,6 +161,18 @@ class TestAdjoint:
         adj = solve_adjoint(cfg)
         assert np.all(adj.p[5:] == 0.0), "no sources remain past the last consumption date"
         assert np.all(adj.p[:5] < 0.0), f"p before the date must be negative, got {adj.p[:5]}"
+
+    @pytest.mark.parametrize("truncation", [12.7, True, "20"])
+    def test_truncation_must_be_an_integer(self, truncation):
+        with pytest.raises(ContractError, match="truncation must be an integer"):
+            solve_adjoint(small_config(), truncation=truncation)
+
+    def test_pair_is_read_off_the_stored_solution(self):
+        adj = solve_adjoint(small_config(), truncation=np.int64(20))
+        assert [f.name for f in fields(adj)] == ["k", "solution"]
+        assert adj.truncation == adj.solution.truncation == 20
+        assert np.array_equal(adj.p, adj.solution.y[0]) and np.shares_memory(adj.p, adj.solution.y)
+        assert np.array_equal(adj.q, adj.solution.z[0]) and np.shares_memory(adj.q, adj.solution.z)
 
     def test_truncation_must_reach_horizon(self):
         with pytest.raises(ContractError, match="truncation"):

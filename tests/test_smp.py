@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fracctrl import ContractError
-from fracctrl.backward import DriverSpec
+from fracctrl.backward import BsdeSolution, DriverSpec
 from fracctrl.forward import CoefficientSet, ControlProcess, simulate_state, simulate_variation
 from fracctrl.fracnoise import build_innovation_system, sample_ensemble
 from fracctrl.smp import (
@@ -103,6 +103,35 @@ class TestAdjointChain:
             solve_adjoint_k(0.0, 0.0, -1)
 
 
+class TestIntegerArguments:
+    @staticmethod
+    def calls(value):
+        sys = build_innovation_system(0.75, 10)
+        noise = sample_ensemble(sys, 5, 4, n_steps=9)
+        state = simulate_state(linear_coeffs(), ControlProcess(values=np.zeros(9)), noise, 1.0)
+        k = solve_adjoint_k(0.4, 0.0, 9)
+        adjoint = solve_adjoint_pq(0.1, 0.0, 0.2, k, 9, 0.5, 1.5)
+        bracket_args = (linear_coeffs(), linear_cost(), state, adjoint, k, sys, np.zeros((4, 10)))
+        return {
+            "n_steps": lambda: solve_adjoint_k(0.0, 0.0, value),
+            "truncation": lambda: solve_adjoint_pq(0.1, 0.0, 0.2, k, value, 1.0, 2.0),
+            "n_trials": lambda: check_necessary_condition(
+                np.ones(3), np.zeros(3), 0.0, 1.0, n_trials=value
+            ),
+            "bracket truncation": lambda: bracket_values(*bracket_args, truncation=value),
+        }
+
+    @pytest.mark.parametrize("value", [2.5, 7.9, True, "3"])
+    @pytest.mark.parametrize("name", ["n_steps", "truncation", "n_trials", "bracket truncation"])
+    def test_non_integers_are_contract_errors(self, name, value):
+        with pytest.raises(ContractError, match="must be an integer"):
+            self.calls(value)[name]()
+
+    @pytest.mark.parametrize("name", ["n_steps", "truncation", "n_trials", "bracket truncation"])
+    def test_numpy_integers_are_accepted(self, name):
+        self.calls(np.int64(3))[name]()
+
+
 class TestAdjointPair:
     def test_investment_consumption_frozen_values(self):
         chi = np.array([0.0, 0.0, 1.0])
@@ -177,6 +206,36 @@ class TestHamiltonian:
             hamiltonian_u(self.coeffs, bare, **self.args)
         with pytest.raises(ContractError, match="f_u"):
             necessary_bracket(self.coeffs, bare, **self.args)
+
+
+class TestBracketValues:
+    def test_cost_solution_feeds_y_and_z_to_the_cost_partial(self):
+        # f_u = 0.7 + 2 y + 3 z and sigma_u = 0: bracket_n = b_u p_n - f_u(Y*_n, Z*_n) k_n,
+        # with Z*_N read as 0 past the last column of z.
+        n_trunc, n_paths = 4, 3
+        sys = build_innovation_system(0.75, n_trunc + 1)
+        noise = sample_ensemble(sys, 9, n_paths, n_steps=n_trunc)
+        state = simulate_state(linear_coeffs(), ControlProcess(values=np.zeros(n_trunc)), noise, 1.0)
+        rng = np.random.default_rng(17)
+        p, k = rng.standard_normal(n_trunc + 1), rng.standard_normal(n_trunc + 1)
+        adjoint = BsdeSolution(
+            y=p[None], z=np.zeros((1, n_trunc)), lam=0.5, gamma_exp=1.5, backend="exact"
+        )
+        y_star = rng.standard_normal((n_paths, n_trunc + 1))
+        z_star = rng.standard_normal((n_paths, n_trunc))
+        cost_solution = BsdeSolution(
+            y=y_star, z=z_star, lam=0.5, gamma_exp=1.5, backend="regression"
+        )
+        cost = DriverSpec(
+            f=lambda n, x, y, z, u: 0.0 * y, f_u=lambda n, x, y, z, u: 0.7 + 2.0 * y + 3.0 * z
+        )
+        got = bracket_values(
+            linear_coeffs(b_u=0.3), cost, state, adjoint, k, sys,
+            controls=np.zeros((n_paths, n_trunc + 1)), cost_solution=cost_solution,
+        )
+        z_read = np.hstack([z_star, np.zeros((n_paths, 1))])
+        want = 0.3 * p - (0.7 + 2.0 * y_star + 3.0 * z_read) * k
+        assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 class TestNecessaryCheck:
