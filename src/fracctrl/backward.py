@@ -154,6 +154,23 @@ def _control_at(control_values: Optional[np.ndarray], n: int, n_paths: int) -> n
     return np.broadcast_to(control_values[..., n], (n_paths,))
 
 
+def _discount_ratios(truncation, lam, gamma_exp, window, degree) -> np.ndarray:
+    """Check the arguments every truncated solve shares; return d_1, ..., d_N."""
+    require("truncation", truncation, int)
+    require("lam", lam, float)
+    require("gamma_exp", gamma_exp, float)
+    require("window", window, int)
+    require("degree", degree, int)
+    if truncation < 1:
+        raise ContractError(f"truncation must be >= 1, got {truncation}")
+    if lam <= 0 or gamma_exp <= 1:
+        raise ContractError(f"need lam > 0 and gamma_exp > 1, got {lam}, {gamma_exp}")
+    if window < 0 or degree < 0:
+        raise ContractError(f"need window >= 0 and degree >= 0, got {window}, {degree}")
+    steps = np.arange(int(truncation) + 1, dtype=float)
+    return np.exp(-lam * np.diff(steps**gamma_exp))
+
+
 def solve_truncated(
     driver: DriverSpec,
     state: Optional[StatePath],
@@ -174,14 +191,8 @@ def solve_truncated(
     prediction at prefix length N exists.  ``control_values`` defaults to the
     controls realized in ``state``.
     """
-    require("truncation", truncation, int)
-    require("lam", lam, float)
-    require("gamma_exp", gamma_exp, float)
+    ratios = _discount_ratios(truncation, lam, gamma_exp, window, degree)
     n_trunc = int(truncation)
-    if n_trunc < 1:
-        raise ContractError(f"truncation must be >= 1, got {n_trunc}")
-    if lam <= 0 or gamma_exp <= 1:
-        raise ContractError(f"need lam > 0 and gamma_exp > 1, got {lam}, {gamma_exp}")
     if state is None:
         if backend != "exact":
             raise ContractError("the regression backend needs a simulated state ensemble")
@@ -213,9 +224,6 @@ def solve_truncated(
         if xi is None:
             raise ContractError("a g-term needs noise paths; solve along a simulated state")
         predictions = prediction_matrix(sys, xi, n_trunc)
-
-    steps = np.arange(n_trunc + 1, dtype=float)
-    ratios = np.exp(-lam * np.diff(steps**gamma_exp))  # d_1, ..., d_N
 
     y = np.zeros((n_paths, n_trunc + 1))
     z = np.zeros((n_paths, n_trunc))

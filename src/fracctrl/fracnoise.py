@@ -91,6 +91,7 @@ def fgn_autocovariance(h: float, lag):
 
 def autocovariance_matrix(h: float, n: int) -> np.ndarray:
     """Toeplitz covariance matrix of (xi_0, ..., xi_{n-1})."""
+    require("matrix order", n, int)
     if n < 1:
         raise ContractError(f"matrix order must be >= 1, got {n}")
     return toeplitz(fgn_autocovariance(h, np.arange(n)))
@@ -200,6 +201,7 @@ class NoiseEnsemble:
 
 def sample_path(system: InnovationSystem, seed: int) -> NoisePath:
     """Draw one trajectory xi = beta @ eta; bit-identical for equal seeds."""
+    require("seed", seed, int)
     rng = np.random.default_rng(seed)
     eta = rng.standard_normal(system.horizon)
     return NoisePath(seed=int(seed), eta=eta, xi=system.beta @ eta)
@@ -214,6 +216,7 @@ def sample_ensemble(
     truncating to n_steps < horizon samples from exactly the same law as the
     full system restricted to those steps.
     """
+    require("seed", seed, int)
     require("n_paths", n_paths, int)
     if n_paths < 1:
         raise ContractError(f"n_paths must be >= 1, got {n_paths}")

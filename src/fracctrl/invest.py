@@ -44,7 +44,13 @@ from ._csv import write_csv, write_json
 from .backward import BsdeSolution, DriverSpec
 from .errors import ContractError, NumericalError, require
 from .forward import CoefficientSet, ControlProcess, StatePath, simulate_state
-from .fracnoise import InnovationSystem, build_innovation_system, predict_next, sample_ensemble
+from .fracnoise import (
+    InnovationSystem,
+    build_innovation_system,
+    predict_next,
+    prediction_matrix,
+    sample_ensemble,
+)
 from .smp import bracket_values, check_necessary_condition, solve_adjoint_k, solve_adjoint_pq
 
 __all__ = [
@@ -154,6 +160,7 @@ class InvestConfig:
 
 def consumption_indicator(config: InvestConfig, n_max: int) -> np.ndarray:
     """0/1 table chi_n for n = 0, ..., n_max."""
+    require("n_max", n_max, int)
     return np.array([config.chi(n) for n in range(n_max + 1)])
 
 
@@ -266,15 +273,22 @@ def closed_form_control(config: InvestConfig, n: int, x, p_n: float, k_n: float,
     return np.minimum(interior, cap)
 
 
-def control_rule(config: InvestConfig, sys: InnovationSystem, adjoint: InvestAdjoint):
-    """Feedback rule (n, x, xi_hist) -> v_n built on the adjoint tables."""
+def control_rule(
+    config: InvestConfig, sys: InnovationSystem, adjoint: InvestAdjoint, predictions=None
+):
+    """Feedback rule (n, x, xi_hist) -> v_n built on the adjoint tables.
+
+    ``predictions``, the prediction_matrix of the noise the rule will see,
+    supplies E[xi_n | F_n] as column n; without it each call predicts from
+    ``xi_hist``.
+    """
 
     def rule(n: int, x, xi_hist):
         if n > adjoint.truncation:
             raise ContractError(
                 f"step {n} is past the adjoint truncation {adjoint.truncation}"
             )
-        pred = predict_next(sys, xi_hist)
+        pred = predict_next(sys, xi_hist) if predictions is None else predictions[:, n]
         return closed_form_control(config, n, x, adjoint.p[n], adjoint.k[n], pred)
 
     return rule
@@ -401,7 +415,10 @@ def run_experiment(
     sys = build_innovation_system(config.hurst, config.horizon + 1)
     noise = sample_ensemble(sys, config.seed, config.paths, n_steps=config.horizon)
     adjoint = solve_adjoint(config)
-    rule = control_rule(config, sys, adjoint)
+    # The predictions depend on the noise alone: one product serves the rule
+    # at every step and the bracket.
+    pred = prediction_matrix(sys, noise.xi, config.horizon)
+    rule = control_rule(config, sys, adjoint, pred)
     coeffs = coefficient_set(config)
     state = simulate_state(coeffs, ControlProcess(rule=rule), noise, config.x0)
 
@@ -417,7 +434,11 @@ def run_experiment(
         sys,
         controls=controls,
         truncation=config.horizon,
+        predictions=pred,
     )
+    # Free the predictions (the rule holds them too) before the certificate
+    # allocates its own (n_paths, horizon + 1) arrays, which set the peak memory.
+    del pred, rule
     chi = consumption_indicator(config, config.horizon)
     caps = np.maximum(state.values * (1 - config.c * chi[None, :]), 0.0)
     check = check_necessary_condition(

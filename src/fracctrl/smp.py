@@ -40,10 +40,12 @@ per-step coefficients.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .backward import BsdeSolution, DriverSpec, _control_at, solve_truncated
-from .errors import ContractError, require
+from .backward import BsdeSolution, DriverSpec, _control_at, _discount_ratios, solve_truncated
+from .errors import ContractError, NumericalError, require
 from .forward import CoefficientSet, StatePath
 from .fracnoise import InnovationSystem, prediction_matrix
 
@@ -123,13 +125,18 @@ def solve_adjoint_pq(
     and cost partials along the candidate pair; ``k`` is the chain from
     solve_adjoint_k.  A nonzero sigma_x brings in the prediction term and
     therefore needs ``sys``; otherwise the solve is free of the innovation
-    system and, for deterministic tables, of any simulated state.
+    system and, for deterministic tables, of any simulated state.  Scalar or
+    1-D tables with sigma_x = 0, no state and the exact backend are solved as
+    a plain float recursion, bit-identical to the generic exact solve.
     """
     require("truncation", truncation, int)
-    beta_diag = np.diag(sys.beta)[: truncation + 1] if sys is not None else np.ones(truncation + 1)
     need_g = bool(np.any(np.asarray(sigma_x, dtype=float) != 0.0))
     if need_g and sys is None:
         raise ContractError("a nonzero sigma_x needs the innovation system for predictions")
+    tables = [np.asarray(t, dtype=float) for t in (b_x, f_x, k)]
+    if state is None and backend == "exact" and not need_g and all(t.ndim <= 1 for t in tables):
+        return _solve_deterministic_pq(*tables, truncation, lam, gamma_exp, window, degree)
+    beta_diag = np.diag(sys.beta)[: truncation + 1] if sys is not None else np.ones(truncation + 1)
 
     def f(m, x, y, z, u):
         return _at(b_x, m) * y + beta_diag[m] * _at(sigma_x, m) * z - _at(f_x, m) * _at(k, m)
@@ -138,6 +145,40 @@ def solve_adjoint_pq(
     return solve_truncated(
         DriverSpec(f=f, g=g), state, sys, truncation, lam, gamma_exp,
         backend=backend, window=window, degree=degree,
+    )
+
+
+def _solve_deterministic_pq(b_x, f_x, k, truncation, lam, gamma_exp, window, degree):
+    """solve_adjoint_pq for scalar or 1-D tables with sigma_x = 0 and no state.
+
+    The pair is then a recursion over Python floats with q = 0.  Each step
+    does the generic exact solve's arithmetic in its order, the ``+ 0.0`` of
+    the sigma_x z term and the midpoint 0.5 (t + t) of the one-path target
+    included, so y is bit-identical to it.
+    """
+    ratios = _discount_ratios(truncation, lam, gamma_exp, window, degree).tolist()
+    n_trunc = int(truncation)
+    b_x, f_x, k = (
+        [float(t)] * (n_trunc + 1) if t.ndim == 0 else t[: n_trunc + 1].tolist()
+        for t in (b_x, f_x, k)
+    )
+    y = [0.0] * (n_trunc + 1)
+    for n in range(n_trunc - 1, -1, -1):
+        m = n + 1
+        f_val = b_x[m] * y[m] + 0.0 - f_x[m] * k[m]
+        target = ratios[n] * (y[m] + f_val)
+        if not math.isfinite(target):
+            raise NumericalError(f"backward target became non-finite at step {n}")
+        y[n] = 0.5 * (target + target)
+    diagnostics = {
+        "used_default_terminal": True,
+        "used_default_terminal_noise": False,
+        "window": window,
+        "degree": degree,
+    }
+    return BsdeSolution(
+        y=np.array([y]), z=np.zeros((1, n_trunc)), lam=lam, gamma_exp=gamma_exp,
+        backend="exact", diagnostics=diagnostics,
     )
 
 
@@ -173,6 +214,7 @@ def bracket_values(
     controls=None,
     cost_solution: BsdeSolution | None = None,
     truncation: int | None = None,
+    predictions=None,
 ) -> np.ndarray:
     """Necessary-condition bracket per (path, step) over n = 0..truncation.
 
@@ -183,7 +225,9 @@ def bracket_values(
     -f_u*(N) k_N.  ``controls`` defaults to the controls realized in
     ``state``; provide an array covering the last step when the cost partials
     need the terminal control.  ``cost_solution`` supplies (Y*, Z*) for cost
-    partials that read them (zeros otherwise).
+    partials that read them (zeros otherwise).  ``predictions`` is the
+    prediction_matrix of ``state``'s noise through at least the bracket range,
+    when the caller already has it; otherwise it is computed here.
     """
     n_trunc = adjoint.truncation if truncation is None else truncation
     require("truncation", n_trunc, int)
@@ -200,7 +244,14 @@ def bracket_values(
     if controls is None:
         controls = state.controls
     controls = np.asarray(controls, dtype=float)
-    pred = prediction_matrix(sys, state.noise.xi, n_trunc)
+    if predictions is None:
+        pred = prediction_matrix(sys, state.noise.xi, n_trunc)
+    else:
+        pred = np.asarray(predictions, dtype=float)
+        if pred.ndim != 2 or pred.shape[0] != n_paths or pred.shape[1] < n_trunc + 1:
+            raise ContractError(
+                f"predictions must have shape ({n_paths}, >= {n_trunc + 1}), got {pred.shape}"
+            )
     beta_diag = np.diag(sys.beta)[: n_trunc + 1]
     out = np.empty((n_paths, n_trunc + 1))
     zeros = np.zeros(n_paths)
@@ -294,6 +345,9 @@ def verify_convexity(fn, sampler, n_pairs: int = 256, seed: int = 0, tolerance: 
     fn(midpoint) - (fn(a) + fn(b)) / 2 beyond ``tolerance`` is a violation;
     the report states what was found either way.
     """
+    require("n_pairs", n_pairs, int)
+    if n_pairs < 1:
+        raise ContractError(f"n_pairs must be >= 1, got {n_pairs}")
     rng = np.random.default_rng(seed)
     x1, u1 = sampler(rng, n_pairs)
     x2, u2 = sampler(rng, n_pairs)

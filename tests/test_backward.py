@@ -314,6 +314,25 @@ class TestSolveTruncatedExact:
             solve_truncated(constant_driver(1.0), None, None, truncation, lam, gamma_exp,
                             backend="exact")
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    @pytest.mark.parametrize("name", ["window", "degree"])
+    def test_basis_sizes_must_be_integers(self, name, value):
+        with pytest.raises(ContractError, match=f"{name} must be an integer"):
+            solve_truncated(constant_driver(1.0), None, None, 3, 1.0, 2.0, backend="exact",
+                            **{name: value})
+
+    @pytest.mark.parametrize("name", ["window", "degree"])
+    def test_basis_sizes_must_be_nonnegative(self, name):
+        with pytest.raises(ContractError, match="window >= 0 and degree >= 0"):
+            solve_truncated(constant_driver(1.0), None, None, 3, 1.0, 2.0, backend="exact",
+                            **{name: -1})
+
+    def test_numpy_integer_basis_sizes(self):
+        sys, state = simulate_white(4, 50, seed=3)
+        sol = solve_truncated(constant_driver(1.0), state, sys, 4, 1.0, 2.0,
+                              window=np.int64(2), degree=np.int32(2))
+        assert sol.diagnostics["window"] == 2 and sol.diagnostics["degree"] == 2
+
     def test_numpy_integer_truncation(self):
         sol = solve_truncated(constant_driver(0.7), None, None, np.int64(3), 1.0, 2.0,
                               backend="exact")

@@ -57,6 +57,22 @@ class TestBsdeConverge:
         assert main(argv) == 1
         assert "adjoint chain k overflows at step 1752" in capsys.readouterr().err
 
+    def test_invest_adjoint_defaults_pass(self, tmp_path, capsys):
+        # Levels 4 and 8 lie below the first consumption date, 10: both
+        # truncations solve to exactly zero, and that leading row is no growth.
+        assert main(["bsde-converge", "--model", "invest-adjoint", "--out", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / "convergence.json").read_text())
+        assert data["rows"][0]["norm_y"] == 0.0 and data["passed"] is True
+        assert "PASS (differences shrink)" in capsys.readouterr().out
+
+    def test_all_zero_table_passes(self):
+        argv = ["bsde-converge", "--model", "invest-adjoint", "--N-list", "2,4,8"]
+        assert main(argv) == 0
+
+    def test_growing_differences_fail(self, capsys):
+        assert main(["bsde-converge", "--lambda", "0.01", "--gamma-exp", "1.01"]) == 1
+        assert "FAIL (differences do not shrink)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("theta", ["nan", "inf", "0.5"])
     def test_bad_theta_exits_2(self, theta, capsys):
         assert main(["bsde-converge", "--theta", theta, "--N-list", "4,8"]) == 2

@@ -56,6 +56,12 @@ class TestAutocovariance:
         with pytest.raises(ContractError):
             fn.autocovariance_matrix(0.75, 0)
 
+    @pytest.mark.parametrize("order", [2.5, 3.0, True, "3"])
+    def test_matrix_order_must_be_an_integer(self, order):
+        with pytest.raises(ContractError, match="matrix order must be an integer"):
+            fn.autocovariance_matrix(0.75, order)
+        assert fn.autocovariance_matrix(0.75, np.int64(3)).shape == (3, 3)
+
 
 class TestInnovationSystem:
     def test_two_step_factor_frozen(self):
@@ -209,6 +215,21 @@ class TestSampling:
             fn.sample_ensemble(sys, seed=1, n_paths=2, n_steps=value)
         with pytest.raises(ContractError, match="n_max must be an integer"):
             fn.prediction_matrix(sys, xi, value)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3"])
+    def test_seed_must_be_an_integer(self, seed):
+        sys = fn.build_innovation_system(0.75, 8)
+        with pytest.raises(ContractError, match="seed must be an integer"):
+            fn.sample_path(sys, seed)
+        with pytest.raises(ContractError, match="seed must be an integer"):
+            fn.sample_ensemble(sys, seed, 3)
+
+    def test_numpy_integer_seed(self):
+        sys = fn.build_innovation_system(0.75, 8)
+        assert np.array_equal(fn.sample_path(sys, np.int64(4)).xi, fn.sample_path(sys, 4).xi)
+        assert np.array_equal(
+            fn.sample_ensemble(sys, np.uint32(4), 3).xi, fn.sample_ensemble(sys, 4, 3).xi
+        )
 
     def test_numpy_integer_counts(self):
         sys = fn.build_innovation_system(0.75, 8)

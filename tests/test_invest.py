@@ -1,15 +1,24 @@
 """Tests for the investment/consumption application."""
 import json
+import weakref
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fracctrl import invest as invest_module
 from fracctrl.errors import ContractError, NumericalError
-from fracctrl.forward import check_partials
+from fracctrl.forward import ControlProcess, check_partials, simulate_state
+from fracctrl.fracnoise import (
+    build_innovation_system,
+    predict_next,
+    prediction_matrix,
+    sample_ensemble,
+)
 from fracctrl.invest import (
     InvestConfig,
+    _clamp_stats,
     closed_form_control,
     coefficient_set,
     consumption_indicator,
@@ -18,7 +27,7 @@ from fracctrl.invest import (
     run_experiment,
     solve_adjoint,
 )
-from fracctrl.smp import solve_adjoint_k
+from fracctrl.smp import bracket_values, check_necessary_condition, solve_adjoint_k
 
 # Frozen independently of the package (plain recursions written out by hand):
 # adjoint of the consumption problem with times {2}, truncation 2, lam=1,
@@ -92,6 +101,12 @@ class TestConfig:
         expected = np.zeros(26)
         expected[[10, 20]] = 1.0
         assert_allclose(chi, expected, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("n_max", [4.5, 4.0, True, "4"])
+    def test_indicator_length_must_be_an_integer(self, n_max):
+        with pytest.raises(ContractError, match="n_max must be an integer"):
+            consumption_indicator(small_config(), n_max)
+        assert consumption_indicator(small_config(), np.int64(4)).tolist() == [0, 0, 0, 0, 1]
 
     def test_explicit_indicator_ignores_period(self):
         cfg = InvestConfig(consumption_times=(3, 7), consumption_period=2)
@@ -324,9 +339,107 @@ class TestRunExperiment:
     def test_rule_rejects_steps_past_truncation(self):
         cfg = small_config()
         adj = solve_adjoint(cfg)
-        from fracctrl.fracnoise import build_innovation_system
-
         sys = build_innovation_system(cfg.hurst, cfg.horizon + 1)
         rule = control_rule(cfg, sys, adj)
         with pytest.raises(ContractError, match="truncation"):
             rule(adj.truncation + 1, np.ones(2), np.zeros((2, 2)))
+
+
+def per_step_prediction_run(config):
+    """run_experiment's check and clamp statistics with predict_next at each step."""
+    sys = build_innovation_system(config.hurst, config.horizon + 1)
+    noise = sample_ensemble(sys, config.seed, config.paths, n_steps=config.horizon)
+    adjoint = solve_adjoint(config)
+    rule = control_rule(config, sys, adjoint)
+    coeffs = coefficient_set(config)
+    state = simulate_state(coeffs, ControlProcess(rule=rule), noise, config.x0)
+    terminal_v = rule(config.horizon, state.values[:, -1], noise.xi)
+    controls = np.hstack([state.controls, terminal_v[:, None]])
+    bracket = bracket_values(
+        coeffs, cost_driver(config), state, adjoint.solution, adjoint.k, sys,
+        controls=controls, truncation=config.horizon,
+    )
+    chi = consumption_indicator(config, config.horizon)
+    caps = np.maximum(state.values * (1 - config.c * chi), 0.0)
+    return check_necessary_condition(bracket, controls, 0.0, caps), _clamp_stats(controls, caps)
+
+
+class TestSharedPredictions:
+    @pytest.mark.parametrize(
+        "hurst,paths,horizon", [(0.25, 100, 1700), (0.75, 50_000, 50)], ids=["deep", "wide"]
+    )
+    def test_rule_with_and_without_predictions(self, hurst, paths, horizon):
+        cfg = InvestConfig(hurst=hurst, paths=paths, horizon=horizon, seed=3)
+        sys = build_innovation_system(hurst, horizon + 1)
+        xi = sample_ensemble(sys, cfg.seed, paths, n_steps=horizon).xi
+        adjoint = solve_adjoint(cfg)
+        pred = prediction_matrix(sys, xi, horizon)
+        shared, per_step = control_rule(cfg, sys, adjoint, pred), control_rule(cfg, sys, adjoint)
+        x = np.linspace(0.5, 2.0, paths)
+        worst_pred = worst_control = 0.0
+        for n in range(horizon + 1):
+            worst_pred = max(worst_pred, np.max(np.abs(pred[:, n] - predict_next(sys, xi[:, :n]))))
+            delta = shared(n, x, xi[:, :n]) - per_step(n, x, xi[:, :n])
+            worst_control = max(worst_control, np.max(np.abs(delta)))
+        assert worst_pred <= 1e-15, f"GEMM and per-step predictions differ by {worst_pred:.2e}"
+        assert worst_control <= 1e-15, f"controls differ by {worst_control:.2e}"
+
+    def test_bracket_and_controls_read_one_prediction_matrix(self):
+        cfg = small_config()
+        result = run_experiment(cfg)
+        pred = prediction_matrix(result.system, result.state.noise.xi, cfg.horizon)
+        for n in range(cfg.horizon + 1):
+            v = closed_form_control(
+                cfg, n, result.state.values[:, n], result.adjoint.p[n], result.adjoint.k[n],
+                pred[:, n],
+            )
+            assert np.array_equal(result.controls[:, n], v), f"control at step {n}"
+        bracket = bracket_values(
+            coefficient_set(cfg), cost_driver(cfg), result.state, result.adjoint.solution,
+            result.adjoint.k, result.system, controls=result.controls, truncation=cfg.horizon,
+            predictions=pred,
+        )
+        assert np.array_equal(bracket, result.bracket)
+
+    def test_bracket_rejects_predictions_of_the_wrong_shape(self):
+        cfg = small_config()
+        result = run_experiment(cfg)
+        args = (coefficient_set(cfg), cost_driver(cfg), result.state, result.adjoint.solution,
+                result.adjoint.k, result.system)
+        with pytest.raises(ContractError, match="predictions must have shape"):
+            bracket_values(*args, controls=result.controls, truncation=cfg.horizon,
+                           predictions=np.zeros((cfg.paths, cfg.horizon)))
+
+    def test_predictions_are_freed_before_the_certificate(self, monkeypatch):
+        # Kept alive into the certificate, the (paths, horizon + 1) matrix
+        # raised the peak memory of a 5e4 x 50 run by 7.7%.
+        made = []
+
+        def recording_prediction_matrix(*args):
+            out = prediction_matrix(*args)
+            made.append(weakref.ref(out))
+            return out
+
+        def checking_certificate(*args, **kwargs):
+            assert made and made[0]() is None, "the prediction matrix outlived the bracket"
+            return check_necessary_condition(*args, **kwargs)
+
+        monkeypatch.setattr(invest_module, "prediction_matrix", recording_prediction_matrix)
+        monkeypatch.setattr(invest_module, "check_necessary_condition", checking_certificate)
+        assert run_experiment(small_config()).check["passed"]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            InvestConfig(horizon=50, paths=10**4, hurst=0.75, seed=8),
+            InvestConfig(hurst=0.75, paths=500, seed=10),
+            InvestConfig(hurst=0.25, paths=500, seed=10),
+        ],
+        ids=["criterion-08", "criterion-10-h75", "criterion-10-h25"],
+    )
+    def test_verdict_and_clamps_match_per_step_predictions(self, config):
+        result = run_experiment(config)
+        check, clamp_stats = per_step_prediction_run(config)
+        assert result.check["passed"] is check["passed"] is True
+        assert result.check["n_violations"] == check["n_violations"]
+        assert result.clamp_stats == clamp_stats

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fracctrl import ContractError
-from fracctrl.backward import BsdeSolution, DriverSpec
+from fracctrl import ContractError, NumericalError
+from fracctrl.backward import BsdeSolution, DriverSpec, solve_truncated
 from fracctrl.forward import CoefficientSet, ControlProcess, simulate_state, simulate_variation
 from fracctrl.fracnoise import build_innovation_system, sample_ensemble
+from fracctrl.invest import InvestConfig, adjoint_tables, solve_adjoint
 from fracctrl.smp import (
     bracket_values,
     check_necessary_condition,
@@ -119,15 +120,20 @@ class TestIntegerArguments:
                 np.ones(3), np.zeros(3), 0.0, 1.0, n_trials=value
             ),
             "bracket truncation": lambda: bracket_values(*bracket_args, truncation=value),
+            "n_pairs": lambda: verify_convexity(
+                lambda x, u: x**2, lambda rng, size: (rng.random(size), rng.random(size)), value
+            ),
         }
 
+    NAMES = ["n_steps", "truncation", "n_trials", "bracket truncation", "n_pairs"]
+
     @pytest.mark.parametrize("value", [2.5, 7.9, True, "3"])
-    @pytest.mark.parametrize("name", ["n_steps", "truncation", "n_trials", "bracket truncation"])
+    @pytest.mark.parametrize("name", NAMES)
     def test_non_integers_are_contract_errors(self, name, value):
         with pytest.raises(ContractError, match="must be an integer"):
             self.calls(value)[name]()
 
-    @pytest.mark.parametrize("name", ["n_steps", "truncation", "n_trials", "bracket truncation"])
+    @pytest.mark.parametrize("name", NAMES)
     def test_numpy_integers_are_accepted(self, name):
         self.calls(np.int64(3))[name]()
 
@@ -167,6 +173,93 @@ class TestAdjointPair:
             with_g.y, np.broadcast_to(plain.y, with_g.y.shape), rtol=0, atol=1e-15,
             err_msg="at H = 0.5 the prediction term must contribute nothing",
         )
+
+
+def generic_pq(b_x, f_x, k, truncation, lam, gamma_exp):
+    """The adjoint pair through the generic exact solve, driver as in smp."""
+
+    def at(table, m):
+        table = np.asarray(table, dtype=float)
+        return table if table.ndim == 0 else table[m]
+
+    def f(m, x, y, z, u):
+        return at(b_x, m) * y + 1.0 * 0.0 * z - at(f_x, m) * at(k, m)
+
+    return solve_truncated(DriverSpec(f=f), None, None, truncation, lam, gamma_exp, backend="exact")
+
+
+class TestDeterministicAdjoint:
+    """The float recursion of solve_adjoint_pq against the generic exact solve."""
+
+    @staticmethod
+    def assert_same_solution(fast, generic):
+        assert np.array_equal(fast.y, generic.y), f"max |dy| = {np.max(np.abs(fast.y - generic.y))}"
+        assert np.array_equal(fast.z, generic.z)
+        assert fast.y.shape == generic.y.shape and fast.z.shape == generic.z.shape
+        assert (fast.lam, fast.gamma_exp, fast.backend) == (generic.lam, generic.gamma_exp, "exact")
+        assert fast.diagnostics == generic.diagnostics
+
+    @pytest.mark.parametrize(
+        "config,truncation",
+        [
+            (InvestConfig(), None),
+            (InvestConfig(consumption_times=(3, 7, 20, 45)), None),
+            (InvestConfig(consumption_times=tuple(range(2, 25, 2)), horizon=24, lam=0.5,
+                          gamma_exp=1.2), 24),
+            # k overflows at step 1752 for lam = 1
+            (InvestConfig(horizon=1700), 1748),
+        ],
+        ids=["default", "consumption-times", "duality", "near-k-overflow"],
+    )
+    def test_investment_adjoint_matches_the_generic_solve(self, config, truncation):
+        adjoint = solve_adjoint(config, truncation=truncation)
+        n_trunc = adjoint.truncation
+        b_x, f_x, k = adjoint_tables(config, n_trunc)
+        generic = generic_pq(b_x, f_x, k, n_trunc, config.lam, config.gamma_exp)
+        self.assert_same_solution(adjoint.solution, generic)
+        assert np.array_equal(adjoint.p, generic.y[0]) and np.array_equal(adjoint.q, generic.z[0])
+        assert np.array_equal(adjoint.k, k)
+
+    def test_scalar_tables(self):
+        fast = solve_adjoint_pq(0.1, 0.0, 0.2, -1.5, 9, 0.5, 1.5)
+        self.assert_same_solution(fast, generic_pq(0.1, 0.2, -1.5, 9, 0.5, 1.5))
+
+    def test_tables_longer_than_the_truncation(self):
+        b_x, f_x, k = adjoint_tables(InvestConfig(consumption_period=3), 60)
+        fast = solve_adjoint_pq(b_x, 0.0, f_x, k, 40, 1.0, 2.0)
+        assert fast.truncation == 40
+        self.assert_same_solution(fast, generic_pq(b_x, f_x, k, 40, 1.0, 2.0))
+
+    def test_numpy_integer_truncation(self):
+        b_x, f_x, k = adjoint_tables(InvestConfig(), 30)
+        fast = solve_adjoint_pq(b_x, 0.0, f_x, k, np.int64(30), 1.0, 2.0)
+        self.assert_same_solution(fast, generic_pq(b_x, f_x, k, 30, 1.0, 2.0))
+
+    def test_non_finite_target_names_the_step(self):
+        f_x = np.zeros(6)
+        f_x[4] = -1e308
+        k = np.full(6, 1e10)
+        for solve in (
+            lambda: solve_adjoint_pq(0.1, 0.0, f_x, k, 5, 1.0, 2.0),
+            lambda: generic_pq(0.1, f_x, k, 5, 1.0, 2.0),
+        ):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NumericalError, match="non-finite at step 3"):
+                    solve()
+
+    def test_near_overflow_target_keeps_the_exact_midpoint(self):
+        # 0.5 * (t + t) overflows for |t| above half the largest double: the
+        # generic exact backend then stores inf and fails one step later.
+        f_x = np.zeros(4)
+        f_x[3] = -1.0
+        k = np.full(4, 1.7e308)
+        for solve in (
+            lambda: solve_adjoint_pq(0.0, 0.0, f_x, k, 3, 1e-300, 1.5),
+            lambda: generic_pq(0.0, f_x, k, 3, 1e-300, 1.5),
+        ):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NumericalError, match="non-finite at step 1"):
+                    solve()
 
 
 class TestHamiltonian:
@@ -356,6 +449,10 @@ class TestConvexity:
     def test_affine_is_convex(self):
         report = verify_convexity(lambda x, u: 2.0 * x - 3.0 * u + 1.0, self.sampler, seed=9)
         assert report["convex"] is True
+
+    def test_needs_at_least_one_pair(self):
+        with pytest.raises(ContractError, match="n_pairs must be >= 1"):
+            verify_convexity(lambda x, u: x**2, self.sampler, n_pairs=0)
 
     def test_concave_bump_is_reported_honestly(self):
         report = verify_convexity(lambda x, u: -(u**2), self.sampler, seed=10)
