@@ -63,7 +63,10 @@ class DriverSpec:
     multiplies the predicted next increment.  ``f1(n, y)`` and ``g1(n, y)``
     are the reduced terminal drivers; when absent the terminal step evaluates
     f (and g) at z = 0, which is recorded in the solution diagnostics.
-    Optional partials f_x, f_y, f_z, f_u follow the signature of f.
+    Optional partials f_x, f_y, f_z, f_u follow the signature of f.  The
+    bracket calls f_u once per block of paths over all steps: n is then the
+    array of step indices 0..N and x, y, z, u are (paths, N + 1) arrays, so
+    f_u must broadcast in n as well (or ignore it).
     """
 
     f: Callable

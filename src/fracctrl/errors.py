@@ -1,9 +1,8 @@
 """Exception types shared across the package, and the argument check that
 raises the first of them."""
 
+import math
 import numbers
-
-import numpy as np
 
 
 class ContractError(ValueError):
@@ -30,7 +29,10 @@ def require(name: str, value, kind) -> None:
     if kind is int:
         ok = isinstance(value, numbers.Integral)
     else:
-        ok = isinstance(value, numbers.Real) and np.isfinite(value)
+        try:  # an integer past the float range overflows, and is refused
+            ok = isinstance(value, numbers.Real) and math.isfinite(value)
+        except OverflowError:
+            ok = False
     if isinstance(value, bool) or not ok:
         what = "an integer" if kind is int else "a finite number"
         raise ContractError(f"{name} must be {what}, got {value!r}")

@@ -48,7 +48,11 @@ class CoefficientSet:
 
     Each callable takes (n, x, u) with x, u per-path arrays and returns a
     broadcastable array; check_partials spot-checks the declared partials by
-    finite differences.
+    finite differences.  The simulators pass the step n as an int.  The
+    u-partials b_u and sigma_u also serve the bracket, which evaluates a
+    block of paths over all steps at once: there n is the array of step
+    indices 0..N and x, u are (paths, N + 1) arrays, so they must broadcast
+    in n as well (or ignore it).
     """
 
     b: Callable
@@ -88,7 +92,10 @@ class ControlProcess:
 
     def at(self, n: int, x: np.ndarray, xi_hist: np.ndarray) -> np.ndarray:
         if self.rule is not None:
-            return np.broadcast_to(np.asarray(self.rule(n, x, xi_hist), dtype=float), x.shape)
+            u = self.rule(n, x, xi_hist)
+            if isinstance(u, np.ndarray) and u.dtype == np.float64 and u.shape == x.shape:
+                return u
+            return np.broadcast_to(np.asarray(u, dtype=float), x.shape)
         if n >= self.values.shape[-1]:
             raise ContractError(f"control has {self.values.shape[-1]} steps, step {n} requested")
         col = self.values[..., n]
@@ -97,7 +104,11 @@ class ControlProcess:
 
 @dataclass(frozen=True)
 class StatePath:
-    """A simulated trajectory bundle: states, realized controls, noise."""
+    """A simulated trajectory bundle: states, realized controls, noise.
+
+    The simulators fill step-major buffers, one contiguous row per step, and
+    store their transposes: ``values[:, n]`` is a contiguous view.
+    """
 
     values: np.ndarray  # (n_paths, horizon + 1)
     controls: np.ndarray  # (n_paths, horizon)
@@ -134,21 +145,21 @@ def simulate_state(
     """
     xi = noise.xi
     n_paths, n_steps = xi.shape
-    values = np.empty((n_paths, n_steps + 1))
-    controls = np.empty((n_paths, n_steps))
-    values[:, 0] = _initial_states(x0, n_paths)
+    values = np.empty((n_steps + 1, n_paths))
+    controls = np.empty((n_steps, n_paths))
+    values[0] = _initial_states(x0, n_paths)
     for n in range(n_steps):
-        x = values[:, n]
+        x = values[n]
         u = control.at(n, x, xi[:, :n])
-        controls[:, n] = u
+        controls[n] = u
         x_next = x + coeffs.b(n, x, u) + coeffs.sigma(n, x, u) * xi[:, n]
-        if not np.all(np.isfinite(x_next)):
+        if not np.isfinite(x_next).all():
             bad = int(np.flatnonzero(~np.isfinite(x_next))[0])
             raise NumericalError(
                 f"state became non-finite at step {n + 1} on path {bad}", detail={"path": bad, "step": n + 1}
             )
-        values[:, n + 1] = x_next
-    return StatePath(values=values, controls=controls, noise=noise)
+        values[n + 1] = x_next
+    return StatePath(values=values.T, controls=controls.T, noise=noise)
 
 
 def simulate_variation(coeffs: CoefficientSet, state: StatePath, direction) -> StatePath:
@@ -164,14 +175,15 @@ def simulate_variation(coeffs: CoefficientSet, state: StatePath, direction) -> S
         v = np.broadcast_to(v, (n_paths, v.shape[0]))
     if v.shape[1] < n_steps:
         raise ContractError(f"direction has {v.shape[1]} steps, horizon needs {n_steps}")
-    values = np.zeros((n_paths, n_steps + 1))
+    v = np.ascontiguousarray(v[:, :n_steps].T)
+    values = np.zeros((n_steps + 1, n_paths))
     for n in range(n_steps):
         x, u = state.values[:, n], state.controls[:, n]
-        xh = values[:, n]
-        drift = coeffs.b_x(n, x, u) * xh + coeffs.b_u(n, x, u) * v[:, n]
-        noise_load = coeffs.sigma_x(n, x, u) * xh + coeffs.sigma_u(n, x, u) * v[:, n]
-        values[:, n + 1] = xh + drift + noise_load * xi[:, n]
-    return StatePath(values=values, controls=v[:, :n_steps].copy(), noise=state.noise)
+        xh = values[n]
+        drift = coeffs.b_x(n, x, u) * xh + coeffs.b_u(n, x, u) * v[n]
+        noise_load = coeffs.sigma_x(n, x, u) * xh + coeffs.sigma_u(n, x, u) * v[n]
+        values[n + 1] = xh + drift + noise_load * xi[:, n]
+    return StatePath(values=values.T, controls=v.T, noise=state.noise)
 
 
 def _control_values(u) -> np.ndarray:

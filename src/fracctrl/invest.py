@@ -254,6 +254,34 @@ def solve_adjoint(config: InvestConfig, truncation: Optional[int] = None) -> Inv
     return InvestAdjoint(k=k, solution=solution)
 
 
+def _bracket_slope(config: InvestConfig, p, pred, out=None):
+    """Slope (mu - r + sigma pred) p of the bracket in v; it reads neither x nor k."""
+    slope = np.multiply(config.sigma, pred, out=out)
+    slope = np.add(config.mu - config.r, slope, out=out)
+    return np.multiply(slope, p, out=out)
+
+
+def _interior_root(config: InvestConfig, slope, k, out=None):
+    """Interior root of the bracket at chain value k != 0, floored at zero
+    before the 1/(beta-1) power."""
+    base = np.divide(slope, config.beta_exp * config.risk_weight * k, out=out)
+    base = np.maximum(base, 0.0, out=out)
+    base **= 1.0 / (config.beta_exp - 1.0)
+    return base
+
+
+def _cap_clamp(config: InvestConfig, n: int, x, free, k_n: float):
+    """The control at step n from its x-free part ``free``: the interior root
+    capped at post-consumption wealth, or, where k_n = 0, bang-bang on the
+    sign of the slope that ``free`` then holds."""
+    cap = np.maximum(np.asarray(x, dtype=float) * (1 - config.c * config.chi(n)), 0.0)
+    if k_n == 0.0:
+        if n != 0:
+            raise ContractError(f"k vanishes at step {n}; only step 0 admits that")
+        return np.where(free < 0, cap, 0.0)
+    return np.minimum(free, cap)
+
+
 def closed_form_control(config: InvestConfig, n: int, x, p_n: float, k_n: float, pred):
     """Candidate optimal risky position at step n.
 
@@ -261,16 +289,10 @@ def closed_form_control(config: InvestConfig, n: int, x, p_n: float, k_n: float,
     power and capped at post-consumption wealth.  k_0 = 0 removes v from the
     bracket, so step 0 is bang-bang on the sign of the slope.
     """
-    x = np.asarray(x, dtype=float)
-    cap = np.maximum(x * (1 - config.c * config.chi(n)), 0.0)
-    slope = (config.mu - config.r + config.sigma * np.asarray(pred, dtype=float)) * p_n
-    if k_n == 0.0:
-        if n != 0:
-            raise ContractError(f"k vanishes at step {n}; only step 0 admits that")
-        return np.where(slope < 0, cap, 0.0)
-    base = slope / (config.beta_exp * config.risk_weight * k_n)
-    interior = np.maximum(base, 0.0) ** (1.0 / (config.beta_exp - 1.0))
-    return np.minimum(interior, cap)
+    free = _bracket_slope(config, p_n, np.asarray(pred, dtype=float))
+    if k_n != 0.0:
+        free = _interior_root(config, free, k_n)
+    return _cap_clamp(config, n, x, free, k_n)
 
 
 def control_rule(
@@ -279,17 +301,28 @@ def control_rule(
     """Feedback rule (n, x, xi_hist) -> v_n built on the adjoint tables.
 
     ``predictions``, the prediction_matrix of the noise the rule will see,
-    supplies E[xi_n | F_n] as column n; without it each call predicts from
-    ``xi_hist``.
+    supplies E[xi_n | F_n] as column n.  The x-free part of the control is
+    then computed once over the whole grid, step-major, and each call only
+    caps row n.  Without it each call predicts from ``xi_hist``.
     """
+    p, k, n_trunc = adjoint.p, adjoint.k, adjoint.truncation
+    free = None
+    if predictions is not None:
+        n_rows = min(predictions.shape[1], n_trunc + 1)
+        free = np.empty((n_rows, predictions.shape[0]))
+        _bracket_slope(config, p[:n_rows, None], predictions[:, :n_rows].T, out=free)
+        # The root in place on each run of steps where k != 0: no 1/k at k = 0.
+        live = np.concatenate(([False], k[:n_rows] != 0.0, [False]))
+        for start, stop in np.flatnonzero(np.diff(live)).reshape(-1, 2):
+            rows = slice(start, stop)
+            _interior_root(config, free[rows], k[rows, None], out=free[rows])
 
     def rule(n: int, x, xi_hist):
-        if n > adjoint.truncation:
-            raise ContractError(
-                f"step {n} is past the adjoint truncation {adjoint.truncation}"
-            )
-        pred = predict_next(sys, xi_hist) if predictions is None else predictions[:, n]
-        return closed_form_control(config, n, x, adjoint.p[n], adjoint.k[n], pred)
+        if n > n_trunc:
+            raise ContractError(f"step {n} is past the adjoint truncation {n_trunc}")
+        if free is None:
+            return closed_form_control(config, n, x, p[n], k[n], predict_next(sys, xi_hist))
+        return _cap_clamp(config, n, x, free[n], k[n])
 
     return rule
 
@@ -423,6 +456,9 @@ def run_experiment(
     state = simulate_state(coeffs, ControlProcess(rule=rule), noise, config.x0)
 
     terminal_v = rule(config.horizon, state.values[:, -1], noise.xi)
+    # The rule's step-major grid is as large as the predictions and serves no
+    # later step: free it before the bracket allocates its blocks.
+    del rule
     controls = np.hstack([state.controls, np.asarray(terminal_v)[:, None]])
 
     bracket = bracket_values(
@@ -436,9 +472,9 @@ def run_experiment(
         truncation=config.horizon,
         predictions=pred,
     )
-    # Free the predictions (the rule holds them too) before the certificate
-    # allocates its own (n_paths, horizon + 1) arrays, which set the peak memory.
-    del pred, rule
+    # Free the predictions before the certificate allocates its own
+    # (n_paths, horizon + 1) arrays, which set the peak memory.
+    del pred
     chi = consumption_indicator(config, config.horizon)
     caps = np.maximum(state.values * (1 - config.c * chi[None, :]), 0.0)
     check = check_necessary_condition(

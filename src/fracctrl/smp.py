@@ -63,6 +63,12 @@ __all__ = [
 ]
 
 
+# Entries of the (paths, steps) grid per bracket block: each temporary of one
+# necessary_bracket call stays about 128 KB, so the blocks add little to the
+# peak memory of a run.
+_BLOCK_ENTRIES = 1 << 14
+
+
 def _at(values, n: int):
     """Per-step lookup for scalar-or-array coefficient tables."""
     arr = np.asarray(values, dtype=float)
@@ -97,12 +103,23 @@ def solve_adjoint_k(f_y, f_z, n_steps: int, eta=None) -> np.ndarray:
         k = np.zeros(n_steps + 1)
     if n_steps >= 1:
         k[..., 1] = -1.0
-    for n in range(1, n_steps):
-        growth = 1.0 + _at(fy, n)
-        if eta is not None:
-            growth = growth + _at(fz, n) * eta[:, n]
-        k[..., n + 1] = k[..., n] * growth
+    # k_{n+1} = k_n g_n from k_1 = -1 is minus the running product of the
+    # factors g_n = 1 + f_y(n) (+ f_z(n) eta_n), which accumulate forms left
+    # to right, as a step loop does; the sign flip is exact.
+    growth = 1.0 + _chain_steps("f_y", fy, n_steps)
+    if eta is not None:
+        growth = growth + _chain_steps("f_z", fz, n_steps) * eta[:, 1:n_steps]
+    k[..., 2:] = -np.multiply.accumulate(np.broadcast_to(growth, k[..., 2:].shape), axis=-1)
     return k
+
+
+def _chain_steps(name: str, table: np.ndarray, n_steps: int) -> np.ndarray:
+    """Entries 1..n_steps-1 of a scalar or per-step table of the chain."""
+    if table.ndim == 0:
+        return table
+    if n_steps > 1 and table.shape[-1] < n_steps:
+        raise ContractError(f"{name} has {table.shape[-1]} steps, the chain reads steps 1..{n_steps - 1}")
+    return table[..., 1:n_steps]
 
 
 def solve_adjoint_pq(
@@ -197,7 +214,12 @@ def hamiltonian_u(coeffs: CoefficientSet, cost: DriverSpec, n, x, y, z, u, p, q,
 
 
 def necessary_bracket(coeffs: CoefficientSet, cost: DriverSpec, n, x, y, z, u, p, q, k, pred, beta_nn):
-    """First-order coefficient of the optimality inequality (cost term minus)."""
+    """First-order coefficient of the optimality inequality (cost term minus).
+
+    Elementwise in its arguments: one step (n an int) or a grid of steps (n
+    the array of step indices, the other arguments broadcasting to (paths,
+    steps)), as bracket_values calls it.
+    """
     if cost.f_u is None:
         raise ContractError("necessary_bracket needs the declared cost partial f_u")
     sig_u = coeffs.sigma_u(n, x, u)
@@ -228,6 +250,10 @@ def bracket_values(
     partials that read them (zeros otherwise).  ``predictions`` is the
     prediction_matrix of ``state``'s noise through at least the bracket range,
     when the caller already has it; otherwise it is computed here.
+
+    The bracket is pointwise in (path, step), so necessary_bracket is called
+    once per block of paths over all steps, with n the array of step indices;
+    every temporary is one block in size.
     """
     n_trunc = adjoint.truncation if truncation is None else truncation
     require("truncation", n_trunc, int)
@@ -240,36 +266,59 @@ def bracket_values(
         raise ContractError(
             f"state horizon {state.horizon} is shorter than the bracket range {n_trunc}"
         )
-    n_paths = state.n_paths
-    if controls is None:
-        controls = state.controls
-    controls = np.asarray(controls, dtype=float)
+    n_paths, n_cols = state.n_paths, n_trunc + 1
+    k = np.asarray(k, dtype=float)
+    if k.ndim > 0 and k.shape[-1] < n_cols:
+        raise ContractError(f"k has {k.shape[-1]} steps, the bracket range needs {n_cols}")
+    if cost_solution is not None and cost_solution.y.shape[1] < n_cols:
+        raise ContractError(
+            f"cost_solution covers {cost_solution.y.shape[1]} steps, the bracket range needs {n_cols}"
+        )
+    controls = state.controls if controls is None else np.asarray(controls, dtype=float)
     if predictions is None:
         pred = prediction_matrix(sys, state.noise.xi, n_trunc)
     else:
         pred = np.asarray(predictions, dtype=float)
-        if pred.ndim != 2 or pred.shape[0] != n_paths or pred.shape[1] < n_trunc + 1:
+        if pred.ndim != 2 or pred.shape[0] != n_paths or pred.shape[1] < n_cols:
             raise ContractError(
-                f"predictions must have shape ({n_paths}, >= {n_trunc + 1}), got {pred.shape}"
+                f"predictions must have shape ({n_paths}, >= {n_cols}), got {pred.shape}"
             )
-    beta_diag = np.diag(sys.beta)[: n_trunc + 1]
-    out = np.empty((n_paths, n_trunc + 1))
-    zeros = np.zeros(n_paths)
-    for n in range(n_trunc + 1):
-        x_n = state.values[:, n]
-        u_n = _control_at(controls, n, n_paths)
-        y_n = cost_solution.y[:, n] if cost_solution is not None else zeros
-        z_n = (
-            cost_solution.z[:, n]
-            if cost_solution is not None and n < cost_solution.z.shape[1]
-            else zeros
-        )
-        p_n = adjoint.y[..., n]
-        q_n = adjoint.z[..., n] if n < adjoint.z.shape[-1] else 0.0
-        out[:, n] = necessary_bracket(
-            coeffs, cost, n, x_n, y_n, z_n, u_n, p_n, q_n, _at(k, n), pred[:, n], beta_diag[n]
+    steps = np.arange(n_cols)
+    beta_diag = np.diag(sys.beta)[:n_cols]
+    out = np.empty((n_paths, n_cols))
+    block = max(1, _BLOCK_ENTRIES // n_cols)
+    zeros = np.zeros((min(block, n_paths), n_cols))
+    for start in range(0, n_paths, block):
+        rows = slice(start, min(start + block, n_paths))
+        if cost_solution is None:
+            y = z = zeros[: rows.stop - start]
+        else:
+            y, z = (_grid_block(t, rows, n_cols) for t in (cost_solution.y, cost_solution.z))
+        out[rows] = necessary_bracket(
+            coeffs, cost, steps, state.values[rows, :n_cols], y, z,
+            _grid_block(controls, rows, n_cols, fill=np.nan),
+            _grid_block(adjoint.y, rows, n_cols), _grid_block(adjoint.z, rows, n_cols),
+            _grid_block(k, rows, n_cols), pred[rows, :n_cols], beta_diag,
         )
     return out
+
+
+def _grid_block(table, rows: slice, n_cols: int, fill: float = 0.0) -> np.ndarray:
+    """Steps 0..n_cols-1 of a per-step table on the paths ``rows``.
+
+    A scalar, a 1-D table or a one-row 2-D table is shared by every path.
+    Past the table's last step the entries are ``fill``: NaN for a control
+    that ends before the grid, 0 for q and Z at their terminal.
+    """
+    if table.ndim == 0:
+        return table
+    if table.ndim == 2 and table.shape[0] != 1:
+        table = table[rows]
+    if table.shape[-1] >= n_cols:
+        return table[..., :n_cols]
+    padded = np.full(table.shape[:-1] + (n_cols,), fill)
+    padded[..., : table.shape[-1]] = table
+    return padded
 
 
 def check_necessary_condition(

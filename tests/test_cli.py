@@ -65,6 +65,23 @@ class TestBsdeConverge:
         assert data["rows"][0]["norm_y"] == 0.0 and data["passed"] is True
         assert "PASS (differences shrink)" in capsys.readouterr().out
 
+    def test_zero_rows_between_levels_are_skipped(self, tmp_path, capsys):
+        # Levels 12, 14 and 16 see the same consumption dates (10 only), so
+        # their rows are exactly zero; they are no growth after the 8 -> 12 row.
+        argv = ["bsde-converge", "--model", "invest-adjoint", "--N-list", "4,8,12,14,16,40"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "convergence.json").read_text())["rows"]
+        assert [row["norm_y"] == 0.0 for row in rows] == [True, False, True, True, False]
+        assert "PASS (differences shrink)" in capsys.readouterr().out
+
+    def test_growth_across_zero_rows_fails(self, capsys):
+        # Under a weak discount the nonzero rows grow (8 -> 12 about 11.9,
+        # 16 -> 40 about 77); the zero rows between them do not hide that.
+        argv = ["bsde-converge", "--model", "invest-adjoint", "--lambda", "0.01",
+                "--gamma-exp", "1.01", "--N-list", "4,8,12,14,16,40"]
+        assert main(argv) == 1
+        assert "FAIL (differences do not shrink)" in capsys.readouterr().out
+
     def test_all_zero_table_passes(self):
         argv = ["bsde-converge", "--model", "invest-adjoint", "--N-list", "2,4,8"]
         assert main(argv) == 0

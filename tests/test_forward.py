@@ -71,6 +71,103 @@ class TestControlProcess:
         assert seen == {0: (3, 0), 1: (3, 1), 2: (3, 2), 3: (3, 3)}
 
 
+    def test_at_returns_a_full_float_rule_output_as_is(self):
+        x = np.zeros(4)
+        out = np.arange(4.0)
+        assert fw.ControlProcess(rule=lambda n, x, h: out).at(0, x, np.zeros((4, 0))) is out
+
+    @pytest.mark.parametrize(
+        "value",
+        [0.5, np.arange(4), np.full(4, 0.5, dtype=np.float32), np.array([0.5])],
+        ids=["scalar", "int", "float32", "one-element"],
+    )
+    def test_at_broadcasts_and_casts_other_rule_outputs(self, value):
+        out = fw.ControlProcess(rule=lambda n, x, h: value).at(0, np.zeros(4), np.zeros((4, 0)))
+        assert out.dtype == np.float64 and out.shape == (4,)
+        np.testing.assert_array_equal(out, np.broadcast_to(np.asarray(value, dtype=float), 4))
+
+
+def reference_state(coeffs, control, noise, x0):
+    """The path-major per-step recursion the simulator must reproduce bit for bit."""
+    xi = noise.xi
+    n_paths, n_steps = xi.shape
+    values = np.empty((n_paths, n_steps + 1))
+    controls = np.empty((n_paths, n_steps))
+    values[:, 0] = x0
+    for n in range(n_steps):
+        x = values[:, n].copy()
+        u = np.broadcast_to(np.asarray(control(n, x, xi[:, :n]), dtype=float), x.shape)
+        controls[:, n] = u
+        values[:, n + 1] = x + coeffs.b(n, x, u) + coeffs.sigma(n, x, u) * xi[:, n]
+    return values, controls
+
+
+def reference_variation(coeffs, values, controls, xi, v):
+    out = np.zeros(values.shape)
+    for n in range(xi.shape[1]):
+        x, u, xh = values[:, n], controls[:, n], out[:, n]
+        drift = coeffs.b_x(n, x, u) * xh + coeffs.b_u(n, x, u) * v[:, n]
+        noise_load = coeffs.sigma_x(n, x, u) * xh + coeffs.sigma_u(n, x, u) * v[:, n]
+        out[:, n + 1] = xh + drift + noise_load * xi[:, n]
+    return out
+
+
+class TestStepMajor:
+    coeffs = fw.CoefficientSet(
+        b=lambda n, x, u: 0.1 * np.tanh(x) + 0.2 * u - 0.01 * n,
+        sigma=lambda n, x, u: 0.1 + 0.05 * np.sin(u) * x,
+        b_x=lambda n, x, u: 0.1 * (1 - np.tanh(x) ** 2),
+        b_u=lambda n, x, u: 0.2,
+        sigma_x=lambda n, x, u: 0.05 * np.sin(u),
+        sigma_u=lambda n, x, u: 0.05 * np.cos(u) * x,
+    )
+
+    @staticmethod
+    def rule(n, x, xi_hist):
+        return 0.3 * x + xi_hist.sum(axis=1) / (n + 1)
+
+    def test_state_is_bit_identical_to_the_per_step_recursion(self):
+        sys = fn.build_innovation_system(0.3, 40)
+        noise = fn.sample_ensemble(sys, seed=5, n_paths=257)
+        x0 = np.linspace(0.5, 1.5, 257)
+        path = fw.simulate_state(self.coeffs, fw.ControlProcess(rule=self.rule), noise, x0)
+        values, controls = reference_state(self.coeffs, self.rule, noise, x0)
+        assert np.array_equal(path.values, values) and np.array_equal(path.controls, controls)
+        assert path.values.shape == (257, 41) and path.controls.shape == (257, 40)
+        assert path.values[:, 7].flags.c_contiguous and path.controls[:, 7].flags.c_contiguous
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["per-path", "shared"])
+    def test_variation_is_bit_identical_to_the_per_step_recursion(self, shared):
+        sys = fn.build_innovation_system(0.3, 40)
+        noise = fn.sample_ensemble(sys, seed=6, n_paths=129)
+        base = fw.simulate_state(self.coeffs, fw.ControlProcess(rule=self.rule), noise, 1.0)
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal(42) if shared else rng.standard_normal((129, 42))
+        var = fw.simulate_variation(self.coeffs, base, v)
+        v_full = np.broadcast_to(v, (129, 42))
+        want = reference_variation(self.coeffs, base.values, base.controls, noise.xi, v_full)
+        assert np.array_equal(var.values, want)
+        assert np.array_equal(var.controls, v_full[:, :40])
+        assert var.values[:, 3].flags.c_contiguous
+
+    def test_non_finite_state_names_the_first_step_and_path(self):
+        sys = fn.build_innovation_system(0.5, 6)
+        noise = fn.sample_ensemble(sys, seed=1, n_paths=5)
+        # Paths 2 and 4 blow up at step 3 (the update of step n = 2); path 2 is named.
+        blowup = fw.CoefficientSet(
+            b=lambda n, x, u: np.where((n == 2) & (np.arange(5) % 2 == 0) & (np.arange(5) > 0),
+                                       np.inf, 0.0),
+            sigma=lambda n, x, u: 0.0,
+            b_x=lambda n, x, u: 0.0,
+            b_u=lambda n, x, u: 0.0,
+            sigma_x=lambda n, x, u: 0.0,
+            sigma_u=lambda n, x, u: 0.0,
+        )
+        with pytest.raises(NumericalError, match="step 3 on path 2") as err:
+            fw.simulate_state(blowup, fw.ControlProcess(values=np.zeros(6)), noise, 1.0)
+        assert err.value.detail == {"path": 2, "step": 3}
+
+
 class TestSimulateState:
     def test_zero_coefficients_freeze_state(self, noise16):
         path = fw.simulate_state(constant_coeffs(), fw.ControlProcess(values=np.zeros(16)), noise16, 3.0)

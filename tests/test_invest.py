@@ -5,6 +5,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fracctrl import invest as invest_module
@@ -85,6 +87,7 @@ class TestConfig:
             {"paths": True},
             {"consumption_times": 5},
             {"consumption_times": (2, 4.5)},
+            {"mu": 10**400},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -107,6 +110,26 @@ class TestConfig:
         with pytest.raises(ContractError, match="n_max must be an integer"):
             consumption_indicator(small_config(), n_max)
         assert consumption_indicator(small_config(), np.int64(4)).tolist() == [0, 0, 0, 0, 1]
+
+    # Any value of any field: NaN, inf, bools, strings, None, huge and
+    # negative integers, floats for integer fields, sequences of either.
+    FUZZED = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(min_value=-(10**400), max_value=10**400),
+        st.integers(min_value=-3, max_value=60),
+        st.booleans(),
+        st.text(max_size=3),
+        st.none(),
+        st.lists(st.one_of(st.integers(-3, 60), st.floats(), st.booleans()), max_size=4),
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.dictionaries(st.sampled_from([f.name for f in fields(InvestConfig)]), FUZZED, max_size=4))
+    def test_fuzzed_fields_only_raise_contract_errors(self, kwargs):
+        try:
+            InvestConfig(**kwargs)
+        except ContractError:
+            pass
 
     def test_explicit_indicator_ignores_period(self):
         cfg = InvestConfig(consumption_times=(3, 7), consumption_period=2)
@@ -412,21 +435,71 @@ class TestSharedPredictions:
 
     def test_predictions_are_freed_before_the_certificate(self, monkeypatch):
         # Kept alive into the certificate, the (paths, horizon + 1) matrix
-        # raised the peak memory of a 5e4 x 50 run by 7.7%.
-        made = []
+        # raised the peak memory of a 5e4 x 50 run by 7.7%.  The rule's
+        # step-major grid of the same size goes even earlier, before the
+        # bracket adds its block temporaries.
+        cfg = small_config()
+        grid = sorted((cfg.paths, cfg.horizon + 1))
+        made, held = [], []
 
         def recording_prediction_matrix(*args):
             out = prediction_matrix(*args)
             made.append(weakref.ref(out))
             return out
 
+        def recording_control_rule(*args, **kwargs):
+            rule = control_rule(*args, **kwargs)
+            for cell in rule.__closure__:
+                value = cell.cell_contents
+                if isinstance(value, np.ndarray) and sorted(value.shape) == grid:
+                    held.append(weakref.ref(value))
+            return rule
+
+        def checking_bracket(*args, **kwargs):
+            assert held, "the rule holds no grid; the check sees nothing"
+            assert all(ref() is None for ref in held), "the rule's grid outlived the simulation"
+            return bracket_values(*args, **kwargs)
+
         def checking_certificate(*args, **kwargs):
             assert made and made[0]() is None, "the prediction matrix outlived the bracket"
             return check_necessary_condition(*args, **kwargs)
 
         monkeypatch.setattr(invest_module, "prediction_matrix", recording_prediction_matrix)
+        monkeypatch.setattr(invest_module, "control_rule", recording_control_rule)
+        monkeypatch.setattr(invest_module, "bracket_values", checking_bracket)
         monkeypatch.setattr(invest_module, "check_necessary_condition", checking_certificate)
-        assert run_experiment(small_config()).check["passed"]
+        assert run_experiment(cfg).check["passed"]
+
+    @pytest.mark.parametrize("beta_exp", [1.5, 2.0, 2.5, 3.0])
+    def test_grid_rule_equals_the_closed_form_per_step(self, beta_exp):
+        cfg = small_config(beta_exp=beta_exp, paths=301)
+        sys = build_innovation_system(cfg.hurst, cfg.horizon + 1)
+        xi = sample_ensemble(sys, cfg.seed, cfg.paths, n_steps=cfg.horizon).xi
+        adjoint = solve_adjoint(cfg)
+        pred = prediction_matrix(sys, xi, cfg.horizon)
+        rule = control_rule(cfg, sys, adjoint, pred)
+        x = np.linspace(-0.5, 3.0, cfg.paths)
+        for n in range(cfg.horizon + 1):
+            want = closed_form_control(cfg, n, x, adjoint.p[n], adjoint.k[n], pred[:, n])
+            assert np.array_equal(rule(n, x, xi[:, :n]), want), f"step {n}"
+
+    def test_grid_rule_refuses_vanishing_k_at_its_step(self):
+        cfg = small_config()
+        sys = build_innovation_system(cfg.hurst, cfg.horizon + 1)
+        xi = sample_ensemble(sys, cfg.seed, cfg.paths, n_steps=cfg.horizon).xi
+        solved = solve_adjoint(cfg)
+        k = solved.k.copy()
+        k[5] = 0.0
+        adjoint = invest_module.InvestAdjoint(k=k, solution=solved.solution)
+        pred = prediction_matrix(sys, xi, cfg.horizon)
+        with np.errstate(all="raise"):  # no 1/k is formed at k = 0
+            rule = control_rule(cfg, sys, adjoint, pred)
+        x = np.ones(cfg.paths)
+        for n in (0, 4, 6):
+            want = closed_form_control(cfg, n, x, adjoint.p[n], k[n], pred[:, n])
+            assert np.array_equal(rule(n, x, xi[:, :n]), want)
+        with pytest.raises(ContractError, match="k vanishes at step 5"):
+            rule(5, x, xi[:, :5])
 
     @pytest.mark.parametrize(
         "config",

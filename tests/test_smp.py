@@ -9,10 +9,18 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fracctrl import ContractError, NumericalError
+from fracctrl import smp
 from fracctrl.backward import BsdeSolution, DriverSpec, solve_truncated
 from fracctrl.forward import CoefficientSet, ControlProcess, simulate_state, simulate_variation
-from fracctrl.fracnoise import build_innovation_system, sample_ensemble
-from fracctrl.invest import InvestConfig, adjoint_tables, solve_adjoint
+from fracctrl.fracnoise import build_innovation_system, prediction_matrix, sample_ensemble
+from fracctrl.invest import (
+    InvestConfig,
+    adjoint_tables,
+    coefficient_set,
+    cost_driver,
+    run_experiment,
+    solve_adjoint,
+)
 from fracctrl.smp import (
     bracket_values,
     check_necessary_condition,
@@ -102,6 +110,58 @@ class TestAdjointChain:
             solve_adjoint_k(0.0, 1.0, 4, eta=np.zeros((3, 2)))
         with pytest.raises(ContractError, match="n_steps"):
             solve_adjoint_k(0.0, 0.0, -1)
+
+
+def loop_chain(f_y, n_steps, f_z=0.0, eta=None):
+    """The chain k as the step loop over numpy values it replaced."""
+    fy, fz = np.asarray(f_y, dtype=float), np.asarray(f_z, dtype=float)
+    k = np.zeros(n_steps + 1 if eta is None else (eta.shape[0], n_steps + 1))
+    if n_steps >= 1:
+        k[..., 1] = -1.0
+    for n in range(1, n_steps):
+        growth = 1.0 + (fy if fy.ndim == 0 else fy[..., n])
+        if eta is not None:
+            growth = growth + (fz if fz.ndim == 0 else fz[..., n]) * eta[:, n]
+        k[..., n + 1] = k[..., n] * growth
+    return k
+
+
+class TestDeterministicChain:
+    @pytest.mark.parametrize(
+        "f_y,n_steps",
+        [(0.5, 1740), (0.5, 1751), (0.5, 1760), (0.0, 5), (0.5, 0), (0.5, 1), (0.5, 2)],
+        ids=["deep", "last-finite", "overflow", "frozen", "empty", "one", "two"],
+    )
+    def test_scalar_growth_equals_the_step_loop(self, f_y, n_steps):
+        with np.errstate(over="ignore"):
+            assert np.array_equal(solve_adjoint_k(f_y, 0.0, n_steps), loop_chain(f_y, n_steps))
+
+    def test_growth_table_equals_the_step_loop(self):
+        table = np.random.default_rng(3).uniform(0.0, 1.0, 2000)
+        with np.errstate(over="ignore"):
+            got = solve_adjoint_k(table, 0.0, 1999)
+            assert np.array_equal(got, loop_chain(table, 1999))
+        assert np.isinf(got[-1]), "the table must reach the overflow"
+
+    @pytest.mark.parametrize("tables", ["scalar", "1-D", "per-path"])
+    def test_noise_driven_chain_equals_the_step_loop(self, tables):
+        rng = np.random.default_rng(5)
+        eta = rng.standard_normal((50, 40))
+        f_y, f_z = {
+            "scalar": (0.25, 0.7),
+            "1-D": (rng.uniform(0, 1, 40), rng.uniform(-1, 1, 40)),
+            "per-path": (rng.uniform(0, 1, (50, 40)), rng.uniform(-1, 1, (50, 40))),
+        }[tables]
+        for n_steps in (0, 1, 2, 40):
+            got = solve_adjoint_k(f_y, f_z, n_steps, eta=eta)
+            assert got.shape == (50, n_steps + 1)
+            assert np.array_equal(got, loop_chain(f_y, n_steps, f_z, eta))
+
+    def test_short_table_refused(self):
+        with pytest.raises(ContractError, match="f_y has 3 steps"):
+            solve_adjoint_k(np.zeros(3), 0.0, 5)
+        with pytest.raises(ContractError, match="f_z has 4 steps"):
+            solve_adjoint_k(0.0, np.ones(4), 5, eta=np.zeros((2, 5)))
 
 
 class TestIntegerArguments:
@@ -329,6 +389,149 @@ class TestBracketValues:
         z_read = np.hstack([z_star, np.zeros((n_paths, 1))])
         want = 0.3 * p - (0.7 + 2.0 * y_star + 3.0 * z_read) * k
         assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def per_step_bracket(coeffs, cost, state, adjoint, k, sys, controls=None, cost_solution=None,
+                     truncation=None):
+    """bracket_values as the step loop it replaced: necessary_bracket once per step."""
+    n_trunc = adjoint.truncation if truncation is None else truncation
+    n_paths = state.n_paths
+    controls = state.controls if controls is None else np.asarray(controls, dtype=float)
+    pred = prediction_matrix(sys, state.noise.xi, n_trunc)
+    beta_diag = np.diag(sys.beta)
+    k = np.asarray(k, dtype=float)
+    zeros = np.zeros(n_paths)
+    out = np.empty((n_paths, n_trunc + 1))
+    for n in range(n_trunc + 1):
+        if n < controls.shape[-1]:
+            u_n = np.broadcast_to(controls[..., n], (n_paths,))
+        else:
+            u_n = np.full(n_paths, np.nan)
+        y_n = zeros if cost_solution is None else cost_solution.y[:, n]
+        z_n = zeros
+        if cost_solution is not None and n < cost_solution.z.shape[1]:
+            z_n = cost_solution.z[:, n]
+        q_n = adjoint.z[..., n] if n < adjoint.z.shape[-1] else 0.0
+        k_n = k if k.ndim == 0 else k[..., n]
+        out[:, n] = necessary_bracket(
+            coeffs, cost, n, state.values[:, n], y_n, z_n, u_n, adjoint.y[..., n], q_n, k_n,
+            pred[:, n], beta_diag[n],
+        )
+    return out
+
+
+class TestWholeGridBracket:
+    """bracket_values evaluates blocks of paths over all steps at once; it
+    must equal necessary_bracket called step by step, bit for bit."""
+
+    n_paths, horizon = 37, 8
+    # The u-partials ignore n and read x, u, y and z; u**2 squares exactly.
+    coeffs = CoefficientSet(
+        b=lambda n, x, u: 0.1 * x + 0.3 * u + 0.1 * x * u,
+        sigma=lambda n, x, u: 0.05 + 0.15 * x + 0.2 * u - 0.025 * u * u,
+        b_x=lambda n, x, u: 0.1 + 0.1 * u,
+        b_u=lambda n, x, u: 0.3 + 0.1 * x,
+        sigma_x=lambda n, x, u: 0.15 + 0.0 * x,
+        sigma_u=lambda n, x, u: 0.2 - 0.05 * u,
+    )
+    cost = DriverSpec(
+        f=lambda n, x, y, z, u: 0.0 * y,
+        f_u=lambda n, x, y, z, u: 0.7 + 2.0 * y + 3.0 * z + u**2,
+    )
+
+    @pytest.fixture(params=[None, 64, 9], ids=["default-block", "block-7-paths", "block-1-path"])
+    def block(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(smp, "_BLOCK_ENTRIES", request.param)
+
+    def setup(self, seed=19):
+        sys = build_innovation_system(0.7, self.horizon + 1)
+        noise = sample_ensemble(sys, seed, self.n_paths, n_steps=self.horizon)
+        rng = np.random.default_rng(seed)
+        control = ControlProcess(values=rng.uniform(0.0, 1.0, (self.n_paths, self.horizon)))
+        state = simulate_state(self.coeffs, control, noise, 1.0)
+        return sys, noise, state, rng
+
+    def check(self, *args, **kwargs):
+        got = bracket_values(*args, **kwargs)
+        want = per_step_bracket(*args, **kwargs)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        return got
+
+    def test_deterministic_adjoint(self, block):
+        sys, _, state, _ = self.setup()
+        k = solve_adjoint_k(0.4, 0.0, self.horizon)
+        adjoint = solve_adjoint_pq(0.1, 0.0, 0.3, k, self.horizon, 0.5, 1.5)
+        self.check(self.coeffs, self.cost, state, adjoint, k, sys)
+
+    def test_cost_solution(self, block):
+        sys, _, state, rng = self.setup()
+        k = rng.standard_normal(self.horizon + 1)
+        adjoint = BsdeSolution(
+            y=rng.standard_normal((1, self.horizon + 1)), z=rng.standard_normal((1, self.horizon)),
+            lam=0.5, gamma_exp=1.5, backend="exact",
+        )
+        cost_solution = BsdeSolution(
+            y=rng.standard_normal((self.n_paths, self.horizon + 1)),
+            z=rng.standard_normal((self.n_paths, self.horizon)),
+            lam=0.5, gamma_exp=1.5, backend="regression",
+        )
+        controls = rng.uniform(0.0, 1.0, (self.n_paths, self.horizon + 1))
+        self.check(self.coeffs, self.cost, state, adjoint, k, sys, controls=controls,
+                   cost_solution=cost_solution)
+
+    def test_controls_that_end_before_the_grid(self, block):
+        sys, _, state, _ = self.setup()
+        k = solve_adjoint_k(0.4, 0.0, self.horizon)
+        adjoint = solve_adjoint_pq(0.1, 0.0, 0.3, k, self.horizon, 0.5, 1.5)
+        got = self.check(self.coeffs, self.cost, state, adjoint, k, sys)  # controls end at N - 1
+        assert np.isnan(got[:, -1]).all() and np.isfinite(got[:, :-1]).all()
+        shared = np.linspace(0.1, 0.9, self.horizon - 2)  # 1-D, two steps short
+        got = self.check(self.coeffs, self.cost, state, adjoint, k, sys, controls=shared)
+        assert np.isnan(got[:, -2:]).all()
+
+    def test_noise_driven_k_and_multi_path_adjoint(self, block):
+        sys, noise, state, _ = self.setup()
+        k = solve_adjoint_k(0.2, 0.25, self.horizon, eta=noise.eta)
+        adjoint = solve_adjoint_pq(
+            0.1, 0.15, 0.3, k, self.horizon, 0.5, 1.5, state=state, sys=sys,
+            backend="regression", window=2, degree=1,
+        )
+        assert k.shape == adjoint.y.shape == (self.n_paths, self.horizon + 1)
+        self.check(self.coeffs, self.cost, state, adjoint, k, sys)
+        # A bracket range short of the adjoint reads q inside its columns.
+        self.check(self.coeffs, self.cost, state, adjoint, k, sys, truncation=self.horizon - 3)
+
+    @pytest.mark.parametrize("beta_exp", [1.5, 2.0, 3.0])
+    def test_investment_bracket(self, block, beta_exp):
+        # v ** (beta - 1) on contiguous blocks and on strided columns alike.
+        cfg = InvestConfig(beta_exp=beta_exp, paths=301, horizon=30, seed=4)
+        result = run_experiment(cfg)
+        args = (coefficient_set(cfg), cost_driver(cfg), result.state, result.adjoint.solution,
+                result.adjoint.k, result.system)
+        got = self.check(*args, controls=result.controls, truncation=cfg.horizon)
+        assert np.array_equal(got, result.bracket)
+
+    def test_short_k_refused(self):
+        sys, _, state, _ = self.setup()
+        k = solve_adjoint_k(0.4, 0.0, self.horizon)
+        adjoint = solve_adjoint_pq(0.1, 0.0, 0.3, k, self.horizon, 0.5, 1.5)
+        with pytest.raises(ContractError, match="k has 5 steps"):
+            bracket_values(self.coeffs, self.cost, state, adjoint, k[:5], sys)
+
+    def test_partials_receive_the_step_array(self):
+        sys, _, state, _ = self.setup()
+        k = solve_adjoint_k(0.4, 0.0, self.horizon)
+        adjoint = solve_adjoint_pq(0.1, 0.0, 0.3, k, self.horizon, 0.5, 1.5)
+        seen = []
+
+        def f_u(n, x, y, z, u):
+            seen.append(np.array(n))
+            return 0.7 + 0.0 * u
+
+        bracket_values(self.coeffs, DriverSpec(f=self.cost.f, f_u=f_u), state, adjoint, k, sys)
+        assert len(seen) == 1 and np.array_equal(seen[0], np.arange(self.horizon + 1))
 
 
 class TestNecessaryCheck:
