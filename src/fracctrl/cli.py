@@ -45,6 +45,13 @@ def _out_dir(args) -> Optional[Path]:
     return out
 
 
+def _directory(text: str) -> str:
+    """An --out value: an empty one would name the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a directory, got an empty string")
+    return text
+
+
 def _invest_config(args) -> InvestConfig:
     """Resolve an InvestConfig from --config JSON plus flag overrides."""
     data = {}
@@ -198,7 +205,7 @@ def cmd_smp_check(args) -> int:
 def cmd_invest(args) -> int:
     config = _invest_config(args)
     out = _out_dir(args)
-    result = run_experiment(config, out_dir=out, n_trials=args.trials)
+    result = run_experiment(config, out_dir=out, n_trials=args.trials, tolerance=args.tolerance)
     terminal = result.state.values[:, -1]
     print(f"investment run, H={config.hurst}, horizon={config.horizon}, paths={config.paths}")
     print(f"terminal wealth mean    = {terminal.mean():.6g}, std = {terminal.std():.6g}")
@@ -223,7 +230,7 @@ def _add_invest_flags(sub) -> None:
     sub.add_argument("--gamma-exp", dest="gamma_exp", type=float, default=None, help="discount exponent override")
     sub.add_argument("--trials", type=int, default=0, help="random admissible controls drawn as a witness")
     sub.add_argument("--tolerance", type=float, default=1e-8, help="bracket product tolerance")
-    sub.add_argument("--out", type=str, default=None, help="output directory")
+    sub.add_argument("--out", type=_directory, default=None, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     noise.add_argument("--H", dest="hurst", type=float, default=0.75, help="Hurst index")
     noise.add_argument("--N", dest="n", type=int, default=256, help="horizon (matrix order)")
     noise.add_argument("--tolerance", type=float, default=1e-10, help="identity tolerance")
-    noise.add_argument("--out", type=str, default=None, help="output directory")
+    noise.add_argument("--out", type=_directory, default=None, help="output directory")
     noise.set_defaults(func=cmd_noise_check)
 
     conv = subs.add_parser("bsde-converge", help="truncation convergence table")
@@ -247,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--gamma-exp", dest="gamma_exp", type=float, default=1.5, help="discount exponent")
     conv.add_argument("--theta", type=float, default=None, help="exponent-ladder parameter (optional)")
     conv.add_argument("--N-list", dest="n_list", type=str, default="4,8,16,32", help="comma-separated truncations")
-    conv.add_argument("--out", type=str, default=None, help="output directory")
+    conv.add_argument("--out", type=_directory, default=None, help="output directory")
     conv.set_defaults(func=cmd_bsde_converge)
 
     smp = subs.add_parser("smp-check", help="first-order optimality report for the investment rule")

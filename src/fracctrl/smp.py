@@ -339,7 +339,8 @@ def check_necessary_condition(
     the worst admissible control ``u``.  ``n_trials`` > 0 adds a serial
     witness, the least product over that many uniform draws from the box
     under per-trial generators spawned from ``seed``.  No draw can go below
-    the certificate, and the witness never gates ``passed``.
+    the certificate, and the witness never gates ``passed``.  ``tolerance``
+    is a finite number >= 0.
     """
     b, us, lo, hi = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (bracket, u_star, lower, upper))
@@ -349,6 +350,9 @@ def check_necessary_condition(
     require("n_trials", n_trials, int)
     if n_trials < 0:
         raise ContractError(f"n_trials must be >= 0, got {n_trials}")
+    require("tolerance", tolerance, float)
+    if tolerance < 0:
+        raise ContractError(f"tolerance must be >= 0, got {tolerance}")
     worst = np.where(b > 0, lo, hi)
     worst -= us
     worst *= b

@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fracctrl import _csv, cli
 from fracctrl.cli import main
 
 
@@ -208,6 +212,90 @@ class TestInvest:
         out = capsys.readouterr().out
         assert "terminal wealth mean" in out
         assert "first-order check       = PASS" in out
+
+    def test_a_failed_csv_share_exits_2(self, tmp_path, capsys, monkeypatch):
+        write_rows = _csv._write_rows
+
+        def rows(fh, shape, columns, lo, hi):
+            if lo > 0:
+                raise RuntimeError("cannot format")
+            write_rows(fh, shape, columns, lo, hi)
+
+        monkeypatch.setattr(_csv, "_write_rows", rows)
+        monkeypatch.setattr(_csv, "MIN_SHARE_ROWS", 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert main(["invest", "--N", "4", "--paths", "6", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: " in err
+        assert "wealth.csv: the child formatting rows 15 to 29 exited with code 1" in err
+
+
+# Bad values for the flags of invest and smp-check, as the shell passes them.
+NOT_A_FLOAT = st.sampled_from(["", "nan", "NaN", "inf", "-inf", "1e400", "-1e400", "x", "0.5.1"])
+NEGATIVE_FLOAT = st.floats(max_value=-5e-324, allow_infinity=True).map(repr)
+NOT_AN_INT = st.one_of(NOT_A_FLOAT, st.floats().map(repr), st.sampled_from(["1e3", "2.5", "0x10"]))
+NEGATIVE_INT = st.integers(max_value=-1).map(str)
+BAD_FLAGS = {
+    "--H": st.one_of(NOT_A_FLOAT, NEGATIVE_FLOAT, st.floats(min_value=1.0).map(repr)),
+    "--lambda": st.one_of(NOT_A_FLOAT, NEGATIVE_FLOAT),
+    "--gamma-exp": st.one_of(NOT_A_FLOAT, NEGATIVE_FLOAT),
+    "--tolerance": st.one_of(NOT_A_FLOAT, NEGATIVE_FLOAT),
+    "--N": st.one_of(NOT_AN_INT, NEGATIVE_INT, st.just("0")),
+    "--paths": st.one_of(NOT_AN_INT, NEGATIVE_INT, st.just("0")),
+    "--seed": st.one_of(NOT_AN_INT, NEGATIVE_INT),
+    "--trials": st.one_of(NOT_AN_INT, NEGATIVE_INT),
+    "--config": st.just(""),
+    "--out": st.just(""),
+}
+
+
+class TestFuzzedFlags:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["invest", "smp-check"]),
+        st.sets(st.sampled_from(sorted(BAD_FLAGS)), min_size=1, max_size=3).flatmap(
+            lambda chosen: st.fixed_dictionaries({flag: BAD_FLAGS[flag] for flag in sorted(chosen)})
+        ),
+    )
+    def test_bad_flag_values_only_exit_2(self, command, bad):
+        """The last of repeated flags wins, so each bad value overrides a small valid run."""
+        argv = [command, "--paths", "3", "--N", "2"] + [f"{flag}={value}" for flag, value in bad.items()]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a value it cannot convert
+            code = exc.code
+        assert code == 2, argv
+
+    @pytest.mark.parametrize("command", ["invest", "smp-check"])
+    @pytest.mark.parametrize(
+        "flag, needle",
+        [
+            ("--tolerance=nan", "tolerance must be a finite number"),
+            ("--tolerance=-1", "tolerance must be >= 0"),
+            ("--out=", "--out: must name a directory"),
+        ],
+    )
+    def test_flags_that_once_escaped_exit_2(self, command, flag, needle, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main([command, "--paths", "3", "--N", "2", flag])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert os.listdir(tmp_path) == []
+        assert needle in capsys.readouterr().err
+
+    def test_invest_reads_its_tolerance(self, monkeypatch):
+        seen = []
+        run_experiment = cli.run_experiment
+
+        def keep(*args, **kwargs):
+            seen.append(kwargs["tolerance"])
+            return run_experiment(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", keep)
+        assert main(["invest", "--paths", "3", "--N", "2", "--tolerance", "0.25"]) == 0
+        assert seen == [0.25]
 
 
 class TestModuleInvocation:

@@ -3,14 +3,20 @@
 Each reference below is the per-row loop a writer used before all of them
 shared one chunked helper; the new writer must reproduce its file exactly on
 a single path, on row counts at, beyond and off the chunk size, and on the
-float values whose text is easiest to get wrong.
+float values whose text is easiest to get wrong.  It must do so for any
+number of shares a table is split into, with share boundaries inside a path
+and inside a chunk.
 """
 
 import math
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
 
+from fracctrl import _csv
 from fracctrl._csv import CHUNK_ROWS, write_csv
 from fracctrl.backward import BsdeSolution, solve_truncated, write_solution_csv
 from fracctrl.forward import StatePath, write_trajectory_csv
@@ -150,6 +156,31 @@ GRIDS = {
 }
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPUs a writer may use, with shares down to one row.
+
+    ``cpus(n)`` returns a list that collects the (shape, share bounds) of
+    every table written in parallel from then on.
+    """
+    write_shares = _csv._write_shares
+    shared = []
+
+    def recording(fh, path, shape, columns, bounds):
+        shared.append((shape, bounds))
+        write_shares(fh, path, shape, columns, bounds)
+
+    monkeypatch.setattr(_csv, "_write_shares", recording)
+    monkeypatch.setattr(_csv, "MIN_SHARE_ROWS", 1)
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        shared.clear()
+        return shared
+
+    return set_cpus
+
+
 def assert_same_file(writer, reference, data, tmp_path):
     writer(data, tmp_path / "new.csv")
     reference(data, tmp_path / "reference.csv")
@@ -161,7 +192,7 @@ def assert_same_file(writer, reference, data, tmp_path):
 @pytest.mark.parametrize("special", [False, True], ids=["plain", "special"])
 @pytest.mark.parametrize("grid", list(GRIDS))
 @pytest.mark.parametrize("name", list(WRITERS))
-def test_writer_matches_its_row_loop(name, grid, special, tmp_path):
+def test_writer_matches_its_row_loop(name, grid, special, tmp_path, cpus):
     writer, reference, build = WRITERS[name]
     n_paths, n_steps = GRIDS[grid]
     data = build(np.random.default_rng(n_paths * n_steps), n_paths, n_steps, special)
@@ -170,6 +201,17 @@ def test_writer_matches_its_row_loop(name, grid, special, tmp_path):
     if special and name != "loadings":
         for cell in ("-0", "nan", "inf", "-inf", "4.9406564584124654e-324"):
             assert f",{cell}," in text or f",{cell}\n" in text
+    inside_path = inside_chunk = False
+    for n in (1, 2, 3, 4):
+        shared = cpus(n)
+        assert assert_same_file(writer, reference, data, tmp_path).decode() == text
+        assert all(len(bounds) == min(n, math.prod(shape)) + 1 for shape, bounds in shared)
+        assert bool(shared) == (n > 1)
+        for shape, bounds in shared:
+            inside_path |= len(shape) == 2 and any(b % shape[1] for b in bounds)
+            inside_chunk |= any(b % CHUNK_ROWS for b in bounds)
+    assert inside_chunk
+    assert inside_path or name in ("adjoint", "loadings")  # their tables have one axis
 
 
 def test_writers_match_on_a_real_run(tmp_path):
@@ -188,9 +230,75 @@ def test_writers_match_on_a_real_run(tmp_path):
     assert_same_file(write_solution_csv, reference_solution, adjoint, tmp_path)
 
 
-def test_loadings_match_at_the_cli_size(tmp_path):
+def test_loadings_match_at_the_cli_size(tmp_path, cpus):
     system = build_innovation_system(0.75, 256)
-    assert_same_file(write_loadings_csv, reference_loadings, system, tmp_path)
+    want = assert_same_file(write_loadings_csv, reference_loadings, system, tmp_path)
+    for n in (1, 2, 3, 4):
+        shared = cpus(n)
+        assert assert_same_file(write_loadings_csv, reference_loadings, system, tmp_path) == want
+        assert [len(bounds) for _, bounds in shared] == ([n + 1] * 3 if n > 1 else [])
+
+
+def failing_rows(action):
+    """The row formatter, doing ``action(lo)`` first for every share but the first."""
+    write_rows = _csv._write_rows
+
+    def rows(fh, shape, columns, lo, hi):
+        if lo > 0:
+            action(lo)
+        write_rows(fh, shape, columns, lo, hi)
+
+    return rows
+
+
+def raise_error(lo):
+    raise RuntimeError(f"cannot format from row {lo}")
+
+
+@pytest.mark.parametrize(
+    "action, code", [(raise_error, 1), (lambda lo: os._exit(3), 3)], ids=["raises", "exits"]
+)
+def test_a_failed_share_is_raised_and_leaves_nothing_behind(action, code, tmp_path, cpus, monkeypatch):
+    monkeypatch.setattr(_csv, "_write_rows", failing_rows(action))
+    cpus(3)
+    values = np.arange(12.0)
+    with pytest.raises(ChildProcessError, match=f"rows 4 to 7 exited with code {code}$"):
+        write_csv(tmp_path / "t.csv", "i,x", [((12,), [0, values])])
+    assert multiprocessing.active_children() == []
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
+def test_a_failure_in_the_first_share_stops_the_children(tmp_path, cpus, monkeypatch):
+    def first_fails(fh, shape, columns, lo, hi):
+        if lo == 0:
+            raise RuntimeError("cannot format the first share")
+        time.sleep(60)
+
+    monkeypatch.setattr(_csv, "_write_rows", first_fails)
+    cpus(4)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="first share"):
+        write_csv(tmp_path / "t.csv", "i,x", [((12,), [0, np.arange(12.0)])])
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
+def test_one_share_without_sched_getaffinity(tmp_path, cpus, monkeypatch):
+    shared = cpus(4)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    write_csv(tmp_path / "t.csv", "i,x", [((12,), [0, np.arange(12.0)])])
+    assert shared == []
+    assert (tmp_path / "t.csv").read_text() == "i,x\n" + "".join(f"{i},{i}\n" for i in range(12))
+
+
+def test_one_share_per_cpu_and_per_min_share_rows_begun(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    rows = _csv.MIN_SHARE_ROWS
+    counts = [_csv._share_count(n) for n in (0, 1, rows, rows + 1, 3 * rows, 3 * rows + 1, 100 * rows)]
+    assert counts == [1, 1, 1, 2, 3, 4, 4]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _csv._share_count(100 * rows) == 1
 
 
 def test_a_nan_writes_nan_and_a_missing_value_writes_nothing(tmp_path):

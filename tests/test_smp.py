@@ -577,6 +577,12 @@ class TestNecessaryCheck:
         assert other["min_trial_product"] != first["min_trial_product"]
         assert other["min_bracket_product"] == first["min_bracket_product"]
 
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -1e-12, -np.inf, "1e-8", True, None])
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        with pytest.raises(ContractError, match="tolerance must be"):
+            check_necessary_condition(np.ones(3), np.zeros(3), 0.0, 1.0, tolerance=tolerance)
+        assert check_necessary_condition(np.ones(3), np.zeros(3), 0.0, 1.0, tolerance=0)["passed"]
+
     def test_witness_is_off_by_default_and_never_gates(self):
         bracket = np.array([[1.0, -1.0], [2.0, 0.0]])
         u_star = np.array([[0.0, 1.0], [0.5, 0.3]])
