@@ -8,12 +8,17 @@ Formatting a float costs about a microsecond of interpreter time, so a large
 table is split into one contiguous share of rows per available CPU: the
 writing process formats the first share itself while forked children format
 the others into unlinked temporary files, which it then appends in order.
-The file is the same, byte for byte, for any number of shares."""
+The file is the same, byte for byte, for any number of shares.
+
+Every file is written under a hidden temporary name in its directory and
+renamed over its final name only once complete, so a failed write leaves
+neither a partial file nor the temporary one."""
 
 import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -42,7 +47,7 @@ def write_csv(path, header: str, tables) -> None:
     one share per available CPU (see the module docstring).  A child that
     fails raises ChildProcessError here, naming its rows and exit code.
     """
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as fh:
         fh.write(header + "\n")
         for shape, columns in tables:
             n_rows = math.prod(shape)
@@ -52,6 +57,31 @@ def write_csv(path, header: str, tables) -> None:
             else:
                 bounds = [n_rows * i // shares for i in range(shares + 1)]
                 _write_shares(fh, path, shape, columns, bounds)
+
+
+@contextmanager
+def _replacing(path):
+    """Yield a new text file that replaces ``path`` when the block completes.
+
+    The file is created under an unused hidden name next to ``path``, with
+    the permissions ``open(path, "w")`` would give.  If the block raises, the
+    file is removed and ``path`` is left as it was.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    while True:
+        temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.part")
+        try:
+            fh = open(temp, "x", newline="")
+            break
+        except FileExistsError:
+            continue
+    try:
+        with fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _share_count(n_rows: int) -> int:
@@ -115,7 +145,7 @@ def _write_part(fd: int, shape, columns, lo: int, hi: int) -> None:
 
 def write_json(path, payload: dict) -> None:
     """Write ``payload`` as JSON: two-space indent, sorted keys, a final newline."""
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._csv import write_json
 from .backward import DriverSpec, cauchy_diagnostic
-from .errors import ContractError, NumericalError
+from .errors import ContractError, NumericalError, require
 from .fracnoise import build_innovation_system, write_loadings_csv
 from .invest import InvestConfig, adjoint_tables, run_experiment
 from .spaces import WeightedNormParams
@@ -77,6 +77,9 @@ def _invest_config(args) -> InvestConfig:
 
 
 def cmd_noise_check(args) -> int:
+    require("tolerance", args.tolerance, float)
+    if args.tolerance < 0:
+        raise ContractError(f"tolerance must be >= 0, got {args.tolerance}")
     system = build_innovation_system(args.hurst, args.n)
     eye = np.eye(system.horizon)
     fact_err = float(np.max(np.abs(system.beta @ system.beta.T - system.covariance)))
@@ -118,6 +121,7 @@ def _converge_driver(args, n_top: int) -> DriverSpec:
 
 
 def cmd_bsde_converge(args) -> int:
+    require("driver_constant", args.driver_constant, float)
     n_list = sorted(int(part) for part in args.n_list.split(","))
     if len(n_list) < 2:
         raise ContractError(f"--N-list needs at least two levels, got {args.n_list!r}")

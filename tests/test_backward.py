@@ -186,6 +186,58 @@ class TestConditionalExpectation:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
+        n_paths=st.integers(400, 2000),
+        window=st.integers(0, 5),
+        degree=st.integers(1, 3),
+        k=st.integers(1, 3),
+    )
+    def test_semi_normal_fit_matches_the_svd_solve(self, seed, n_paths, window, degree, k):
+        # Normal features with at least 400 paths give condition numbers below
+        # 20 here, far inside the semi-normal bound.
+        rng = np.random.default_rng(seed)
+        feats = rng.standard_normal((n_paths, window))
+        targets = rng.standard_normal((n_paths, k)) + np.sin(feats.sum(axis=1))[:, None]
+        health = {}
+        fitted = conditional_expectation(targets, feats, "regression", degree, health=health)
+        design, _ = reference_design(feats, degree)
+        want = design @ np.linalg.lstsq(design, targets, rcond=None)[0]
+        assert health["fallback"] is False
+        assert np.max(np.abs(fitted - want)) <= 1e-12 * np.max(np.abs(want))
+        assert_allclose(health["singular_values"], np.linalg.svd(design, compute_uv=False),
+                        rtol=1e-10, atol=0)
+
+    def test_refined_fit_holds_near_the_guard(self):
+        # Condition number about 6.5e3: unrefined normal equations would be
+        # off by about 8e-11 here.
+        rng = np.random.default_rng(5)
+        x1 = rng.standard_normal(2000)
+        feats = np.column_stack([x1, x1 + 3e-4 * rng.standard_normal(2000)])
+        targets = np.column_stack([np.sin(x1), feats[:, 1] ** 3])
+        health = {}
+        fitted = conditional_expectation(targets, feats, "regression", 1, health=health)
+        design, _ = reference_design(feats, 1)
+        want = design @ np.linalg.lstsq(design, targets, rcond=None)[0]
+        singular = health["singular_values"]
+        assert health["fallback"] is False and 5e3 < singular[0] / singular[-1] < 1e4
+        assert np.max(np.abs(fitted - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_near_collinear_design_takes_the_svd_solve(self):
+        rng = np.random.default_rng(5)
+        x1 = rng.standard_normal(2000)
+        feats = np.column_stack([x1, x1 + 1e-3 * rng.standard_normal(2000)])
+        targets = np.column_stack([np.sin(x1), feats[:, 1] ** 3])
+        health = {}
+        fitted = conditional_expectation(targets, feats, "regression", health=health)
+        design, _ = reference_design(feats, 2)
+        coef, _, _, singular = np.linalg.lstsq(design, targets, rcond=None)
+        assert singular[0] / singular[-1] > 1e6, "the design should be near-collinear"
+        assert health["fallback"] is True
+        assert np.array_equal(health["singular_values"], singular)
+        assert np.array_equal(fitted, design @ coef), "the fallback is the plain SVD solve"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
         n_paths=st.integers(60, 400),
         window=st.integers(0, 4),
         degree=st.integers(1, 3),
@@ -439,6 +491,44 @@ class TestRegressionBackend:
         assert err.value.detail["basis"] == ["1", "x0", "x0*x0"]
         assert len(err.value.detail["singular_values"]) == 3
 
+    def test_fit_health_reports_every_step(self):
+        _, state = simulate_white(5, 3000, seed=41, hurst=0.7)
+        driver = DriverSpec(f=lambda n, x, y, z, u: np.abs(x) + 0.3 * y + 0.2 * z)
+        sol = solve_truncated(driver, state, None, 5, 0.3, 1.5, backend="regression")
+        singular = [
+            np.linalg.svd(reference_design(state.noise.xi[:, max(0, n - 3) : n], 2)[0],
+                          compute_uv=False)
+            for n in range(5)
+        ]
+        assert_allclose(sol.diagnostics["fit_min_singular"], min(s[-1] for s in singular),
+                        rtol=1e-10, atol=0)
+        assert_allclose(sol.diagnostics["fit_max_cond"], max(s[0] / s[-1] for s in singular),
+                        rtol=1e-10, atol=0)
+        assert sol.diagnostics["fit_fallbacks"] == 0
+        json.dumps(sol.diagnostics)
+        exact = solve_truncated(constant_driver(1.0), None, None, 3, 1.0, 2.0, backend="exact")
+        assert not {"fit_min_singular", "fit_max_cond", "fit_fallbacks"} & set(exact.diagnostics)
+
+    def test_near_collinear_step_is_counted_as_a_fallback(self):
+        # xi_1 nearly repeats xi_0: with window 2 only step 2 regresses on both.
+        _, state = simulate_white(4, 2000, seed=47)
+        xi = state.noise.xi.copy()
+        xi[:, 1] = xi[:, 0] + 1e-3 * np.random.default_rng(3).standard_normal(2000)
+        noise = NoiseEnsemble(seed=state.noise.seed, eta=state.noise.eta, xi=xi)
+        near = simulate_state(last_increment_model(), ControlProcess(values=np.zeros(4)), noise, 0.0)
+
+        def f(n, x, y, z, u):
+            return np.abs(x) + 0.3 * y + 0.2 * z
+
+        sol = solve_truncated(DriverSpec(f=f), near, None, 4, 0.3, 1.5, window=2)
+        assert sol.diagnostics["fit_fallbacks"] == 1
+        assert sol.diagnostics["fit_max_cond"] > 1e6
+        # At condition number 5e6 the SVD solve itself moves by about 2.5e-11
+        # between one right-hand side and two.
+        want_y, want_z = reference_regression_solve(f, near, 4, 0.3, 1.5, window=2, degree=2)
+        assert_allclose(sol.y, want_y, rtol=0, atol=1e-10)
+        assert_allclose(sol.z, want_z, rtol=0, atol=1e-10)
+
     def test_too_few_paths_for_the_basis(self):
         _, state = simulate_white(4, 5, seed=33)
         driver = DriverSpec(f=lambda n, x, y, z, u: x + 0.0 * y)
@@ -505,6 +595,19 @@ class TestCauchyDiagnostic:
 
 
 class TestSolutionCsv:
+    def test_step_major_solution_writes_the_c_order_bytes(self, tmp_path):
+        _, state = simulate_white(5, 300, seed=51, hurst=0.7)
+        driver = DriverSpec(f=lambda n, x, y, z, u: np.abs(x) + 0.3 * y + 0.2 * z)
+        sol = solve_truncated(driver, state, None, 5, 0.3, 1.5, backend="regression")
+        assert sol.y.T.flags.c_contiguous and sol.z.T.flags.c_contiguous
+        copy = BsdeSolution(
+            y=np.ascontiguousarray(sol.y), z=np.ascontiguousarray(sol.z), lam=sol.lam,
+            gamma_exp=sol.gamma_exp, backend=sol.backend,
+        )
+        write_solution_csv(sol, tmp_path / "step_major.csv")
+        write_solution_csv(copy, tmp_path / "c_order.csv")
+        assert (tmp_path / "step_major.csv").read_bytes() == (tmp_path / "c_order.csv").read_bytes()
+
     def test_roundtrip(self, tmp_path):
         sol = solve_truncated(constant_driver(0.7), None, None, 3, 1.0, 2.0, backend="exact")
         out = tmp_path / "solution.csv"

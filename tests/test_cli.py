@@ -247,41 +247,73 @@ BAD_FLAGS = {
     "--config": st.just(""),
     "--out": st.just(""),
 }
+NOISE_CHECK_FLAGS = {flag: BAD_FLAGS[flag] for flag in ("--H", "--N", "--tolerance", "--out")}
+NOT_ABOVE_ONE = st.floats(max_value=1.0).map(repr)
+BSDE_CONVERGE_FLAGS = {
+    "--model": st.sampled_from(["", "x", "Constant"]),
+    "--driver-constant": NOT_A_FLOAT,
+    "--lambda": st.one_of(NOT_A_FLOAT, NEGATIVE_FLOAT, st.just("0")),
+    "--gamma-exp": st.one_of(NOT_A_FLOAT, NOT_ABOVE_ONE),
+    "--theta": st.one_of(NOT_A_FLOAT, NOT_ABOVE_ONE),
+    "--N-list": st.sampled_from(["", "x", ",", "2", "2,2", "0,4", "-1,4", "2.5,4", "4,", "1e3,4"]),
+    "--out": st.just(""),
+}
+# Each command's small valid run, which the bad values override, and its flags.
+FUZZED_COMMANDS = {
+    "invest": (["--paths", "3", "--N", "2"], BAD_FLAGS),
+    "smp-check": (["--paths", "3", "--N", "2"], BAD_FLAGS),
+    "noise-check": (["--N", "2"], NOISE_CHECK_FLAGS),
+    "bsde-converge": (["--N-list", "2,4"], BSDE_CONVERGE_FLAGS),
+}
+
+
+def _bad_values(command):
+    flags = FUZZED_COMMANDS[command][1]
+    return st.sets(st.sampled_from(sorted(flags)), min_size=1, max_size=3).flatmap(
+        lambda chosen: st.fixed_dictionaries({flag: flags[flag] for flag in sorted(chosen)})
+    )
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refuses a value it cannot convert
+        return exc.code
 
 
 class TestFuzzedFlags:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(
-        st.sampled_from(["invest", "smp-check"]),
-        st.sets(st.sampled_from(sorted(BAD_FLAGS)), min_size=1, max_size=3).flatmap(
-            lambda chosen: st.fixed_dictionaries({flag: BAD_FLAGS[flag] for flag in sorted(chosen)})
-        ),
+        st.sampled_from(sorted(FUZZED_COMMANDS)).flatmap(
+            lambda command: st.tuples(st.just(command), _bad_values(command))
+        )
     )
-    def test_bad_flag_values_only_exit_2(self, command, bad):
+    def test_bad_flag_values_only_exit_2(self, drawn):
         """The last of repeated flags wins, so each bad value overrides a small valid run."""
-        argv = [command, "--paths", "3", "--N", "2"] + [f"{flag}={value}" for flag, value in bad.items()]
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refuses a value it cannot convert
-            code = exc.code
-        assert code == 2, argv
+        command, bad = drawn
+        argv = [command, *FUZZED_COMMANDS[command][0]] + [f"{flag}={value}" for flag, value in bad.items()]
+        assert _exit_code(argv) == 2, argv
 
-    @pytest.mark.parametrize("command", ["invest", "smp-check"])
     @pytest.mark.parametrize(
-        "flag, needle",
+        "flag, needle, command",
         [
-            ("--tolerance=nan", "tolerance must be a finite number"),
-            ("--tolerance=-1", "tolerance must be >= 0"),
-            ("--out=", "--out: must name a directory"),
+            (flag, needle, command)
+            for flag, needle in [
+                ("--tolerance=nan", "tolerance must be a finite number"),
+                ("--tolerance=-1", "tolerance must be >= 0"),
+                ("--out=", "--out: must name a directory"),
+            ]
+            for command in ("invest", "smp-check", "noise-check")
+        ]
+        + [
+            ("--driver-constant=nan", "driver_constant must be a finite number", "bsde-converge"),
+            ("--driver-constant=inf", "driver_constant must be a finite number", "bsde-converge"),
+            ("--out=", "--out: must name a directory", "bsde-converge"),
         ],
     )
     def test_flags_that_once_escaped_exit_2(self, command, flag, needle, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        try:
-            code = main([command, "--paths", "3", "--N", "2", flag])
-        except SystemExit as exc:
-            code = exc.code
-        assert code == 2
+        assert _exit_code([command, *FUZZED_COMMANDS[command][0], flag]) == 2
         assert os.listdir(tmp_path) == []
         assert needle in capsys.readouterr().err
 

@@ -265,7 +265,7 @@ def test_a_failed_share_is_raised_and_leaves_nothing_behind(action, code, tmp_pa
     with pytest.raises(ChildProcessError, match=f"rows 4 to 7 exited with code {code}$"):
         write_csv(tmp_path / "t.csv", "i,x", [((12,), [0, values])])
     assert multiprocessing.active_children() == []
-    assert os.listdir(tmp_path) == ["t.csv"]
+    assert os.listdir(tmp_path) == []
 
 
 def test_a_failure_in_the_first_share_stops_the_children(tmp_path, cpus, monkeypatch):
@@ -281,7 +281,7 @@ def test_a_failure_in_the_first_share_stops_the_children(tmp_path, cpus, monkeyp
         write_csv(tmp_path / "t.csv", "i,x", [((12,), [0, np.arange(12.0)])])
     assert time.perf_counter() - start < 30
     assert multiprocessing.active_children() == []
-    assert os.listdir(tmp_path) == ["t.csv"]
+    assert os.listdir(tmp_path) == []
 
 
 def test_one_share_without_sched_getaffinity(tmp_path, cpus, monkeypatch):
@@ -310,3 +310,23 @@ def test_a_nan_writes_nan_and_a_missing_value_writes_nothing(tmp_path):
 def test_no_rows_writes_the_header(tmp_path):
     write_csv(tmp_path / "t.csv", "path_id,n,X", [((0, 5), [0, 1, np.empty((0, 5))])])
     assert (tmp_path / "t.csv").read_text() == "path_id,n,X\n"
+
+
+def test_a_failed_write_leaves_the_previous_file(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text("previous\n")
+    with pytest.raises(TypeError):
+        _csv.write_json(path, {"a": 1.0, "b": object()})
+    with pytest.raises(KeyError):
+        write_csv(path, "i,x", [((3,), [0, np.zeros(3, dtype=complex)])])
+    assert os.listdir(tmp_path) == ["r.json"]
+    assert path.read_text() == "previous\n"
+
+
+def test_a_finished_file_has_the_permissions_of_a_plain_open(tmp_path):
+    write_csv(tmp_path / "t.csv", "i", [((3,), [0])])
+    _csv.write_json(tmp_path / "r.json", {"a": 1})
+    open(tmp_path / "plain", "w").close()
+    modes = {name: os.stat(tmp_path / name).st_mode for name in ("t.csv", "r.json", "plain")}
+    assert modes["t.csv"] == modes["r.json"] == modes["plain"]
+    assert sorted(os.listdir(tmp_path)) == ["plain", "r.json", "t.csv"]
