@@ -4,33 +4,44 @@ A table is a header line, then integers as integers, floats as
 format(x, ".17g") (round-trips every float64), strings as they are, and an
 empty cell where there is no value.
 
-Formatting a float costs about a microsecond of interpreter time, so a large
-table is split into one contiguous share of rows per available CPU: the
-writing process formats the first share itself while forked children format
-the others into unlinked temporary files, which it then appends in order.
-The file is the same, byte for byte, for any number of shares.
+The text is made in numpy, CHUNK_ROWS rows at a time, with no Python call
+per value.  Each cell of a chunk fills a fixed-width slot of bytes, and the
+places a cell does not use hold the filler byte 0, which the chunk's text
+leaves out.  A float's 17 significant digits are |x| * 10**k rounded half to
+even, with |x| * 10**k taken from one double-double product (Dekker's exact
+two-product, no fused multiply-add) that errs by less than 2**-47 of a unit
+in the last digit, and by nothing where 10**k is itself a float.  Where it
+is not, a value whose product lies within TIE_MARGIN of a rounding tie, so
+that the error could decide the last digit, is formatted by
+format(x, ".17g") itself, as is a NaN or an infinity.  The digits are then
+laid out as "%.17g" lays them out: fixed for decimal exponents -4 to 16,
+scientific otherwise, without trailing zeros.
 
 Every file is written under a hidden temporary name in its directory and
 renamed over its final name only once complete, so a failed write leaves
 neither a partial file nor the temporary one."""
 
+import functools
 import json
 import math
 import os
-import tempfile
 from contextlib import contextmanager
 
 import numpy as np
 
-# Rows formatted per write: only one chunk's strings are held at a time.
-CHUNK_ROWS = 1024
-# At most one share per MIN_SHARE_ROWS rows begun: a share costs a fork, a
-# temporary file and a copy (about 12 ms from a 150 MB process on a 2-CPU
-# x86-64 host), small beside the 0.1 s that 64 Ki rows take to format.
-MIN_SHARE_ROWS = 64 * 1024
+# Rows formatted per write: a chunk of 16 Ki rows holds a few MB of slots.
+CHUNK_ROWS = 16 * 1024
+# Distance from a rounding tie, in units of the 17th digit, inside which a
+# float is formatted by format(x, ".17g"): 2**23 times the product's error.
+TIE_MARGIN = 2.0**-24
 
-# printf fields by dtype kind; "%.17g" % x is format(x, ".17g").
-_FIELD = {"i": "%d", "f": "%.17g", "U": "%s"}
+_SPLIT = 134217729.0  # 2**27 + 1 splits a float64 into two 26-bit halves
+_E_MIN, _E_MAX = -1073, 1024  # binary exponents of frexp over finite nonzero floats
+_DEC_MIN = -330  # below the decimal exponent of the least subnormal, -324
+# A float's slot: sign, the "0.000" of exponents -4 to -1, integer digits
+# from byte 6, the point, fraction digits from byte 7 + their index, and
+# the exponent's "e-308" from byte 24; its words are made 32 bytes wide.
+_FLOAT_SLOT = 29
 
 
 def write_csv(path, header: str, tables) -> None:
@@ -38,30 +49,31 @@ def write_csv(path, header: str, tables) -> None:
 
     A table has one row per index of ``shape``, in C order.  Each column is
     an int, naming the grid axis whose index the row writes; a str, the cell
-    of every row; or an array read at the row's grid index.  An array that
-    ends before the grid along the last axis leaves an empty cell past its
-    end (q and Z have no value at the terminal step).  ``tables`` is read
-    one table at a time, so a generator holds one table's arrays at once.
-
-    A table of more than ``MIN_SHARE_ROWS`` rows is formatted in parallel,
-    one share per available CPU (see the module docstring).  A child that
-    fails raises ChildProcessError here, naming its rows and exit code.
+    of every row; or an integer or float array read at the row's grid index.
+    An array that ends before the grid along the last axis leaves an empty
+    cell past its end (q and Z have no value at the terminal step).
+    ``tables`` is read one table at a time, so a generator holds one table's
+    arrays at once.
     """
     with _replacing(path) as fh:
-        fh.write(header + "\n")
+        fh.write(header.encode() + b"\n")
         for shape, columns in tables:
             n_rows = math.prod(shape)
-            shares = _share_count(n_rows)
-            if shares == 1:
-                _write_rows(fh, shape, columns, 0, n_rows)
-            else:
-                bounds = [n_rows * i // shares for i in range(shares + 1)]
-                _write_shares(fh, path, shape, columns, bounds)
+            for start in range(0, n_rows, CHUNK_ROWS):
+                rows = np.arange(start, min(start + CHUNK_ROWS, n_rows))
+                index = np.unravel_index(rows, shape)
+                fh.write(_text(rows.size, [_cells(column, index) for column in columns]))
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as JSON: two-space indent, sorted keys, a final newline."""
+    with _replacing(path) as fh:
+        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 @contextmanager
 def _replacing(path):
-    """Yield a new text file that replaces ``path`` when the block completes.
+    """Yield a new binary file that replaces ``path`` when the block completes.
 
     The file is created under an unused hidden name next to ``path``, with
     the permissions ``open(path, "w")`` would give.  If the block raises, the
@@ -71,7 +83,7 @@ def _replacing(path):
     while True:
         temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.part")
         try:
-            fh = open(temp, "x", newline="")
+            fh = open(temp, "xb")
             break
         except FileExistsError:
             continue
@@ -84,81 +96,226 @@ def _replacing(path):
         raise
 
 
-def _share_count(n_rows: int) -> int:
-    """Shares of a table of ``n_rows`` rows: one per available CPU, but no
-    more than one per MIN_SHARE_ROWS rows begun; one where the platform
-    cannot fork or report the CPUs this process may run on."""
-    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), math.ceil(n_rows / MIN_SHARE_ROWS)))
-
-
-def _write_rows(fh, shape, columns, lo: int, hi: int) -> None:
-    """Write rows ``lo`` to ``hi - 1`` of a table, CHUNK_ROWS rows per write."""
-    for start in range(lo, hi, CHUNK_ROWS):
-        index = np.unravel_index(np.arange(start, min(start + CHUNK_ROWS, hi)), shape)
-        fields, cells = zip(*(_cells(column, index) for column in columns))
-        template = ",".join(fields) + "\n"
-        fh.writelines([template % row for row in zip(*cells)])
-
-
-def _write_shares(fh, path, shape, columns, bounds) -> None:
-    """Write the rows between consecutive ``bounds``: the first share here,
-    each other share by a forked child into an unlinked temporary file next
-    to ``path``, appended after this process's share in order."""
-    import multiprocessing  # only a table large enough to share pays the import
-
-    fork = multiprocessing.get_context("fork")
-    directory = os.path.dirname(os.path.abspath(path))
-    fh.flush()  # a child must not inherit buffered text and write it again
-    children = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            part = tempfile.TemporaryFile(dir=directory)
-            child = fork.Process(target=_write_part, args=(part.fileno(), shape, columns, lo, hi))
-            children.append((lo, hi, part, child))
-            child.start()
-        _write_rows(fh, shape, columns, bounds[0], bounds[1])
-        fh.flush()
-        for lo, hi, part, child in children:
-            child.join()
-            if child.exitcode != 0:
-                raise ChildProcessError(
-                    f"{path}: the child formatting rows {lo} to {hi - 1} exited with code {child.exitcode}"
-                )
-            size, offset = os.fstat(part.fileno()).st_size, 0
-            while offset < size:  # copied in the kernel, not through this heap
-                offset += os.sendfile(fh.fileno(), part.fileno(), offset, size - offset)
-    finally:
-        for _, _, part, child in children:
-            if child.is_alive():
-                child.kill()
-                child.join()
-            part.close()
-
-
-def _write_part(fd: int, shape, columns, lo: int, hi: int) -> None:
-    """A child's work: rows ``lo`` to ``hi - 1`` into the open file ``fd``."""
-    with open(fd, "w", newline="", closefd=False) as out:
-        _write_rows(out, shape, columns, lo, hi)
-
-
-def write_json(path, payload: dict) -> None:
-    """Write ``payload`` as JSON: two-space indent, sorted keys, a final newline."""
-    with _replacing(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _text(n: int, cells) -> bytes:
+    """The text of ``n`` rows: their cells' slots side by side, separated by
+    commas and ended by a newline, with the filler left out."""
+    widths = [cell.shape[1] for cell in cells]
+    out = np.empty((n, sum(widths) + len(cells)), np.uint8)
+    end = 0
+    for cell, width in zip(cells, widths):
+        out[:, end : end + width] = cell
+        out[:, end + width] = ord(",")
+        end += width + 1
+    out[:, -1] = ord("\n")
+    return out.tobytes().translate(None, b"\0")
 
 
 def _cells(column, index):
-    """(printf field, cell values) of one column over one chunk of rows."""
-    if isinstance(column, int):
-        return "%d", index[column].tolist()
+    """The slots of one column over one chunk of rows, an (n, width) uint8
+    array (a constant's has one row)."""
+    if isinstance(column, int):  # few distinct indices, each formatted once
+        axis = index[column]
+        low = axis.min()
+        return _int_slots(np.arange(low, axis.max() + 1)).take(axis - low, axis=0)
     if isinstance(column, str):
-        return "%s", [column] * index[0].size
-    field = _FIELD[column.dtype.kind]
+        return np.frombuffer(column.encode(), np.uint8)[None]
+    slots = _SLOTS[column.dtype.kind]
     present = index[-1] < column.shape[-1]
     if present.all():
-        return field, column[index].tolist()
-    values = iter(column[tuple(axis[present] for axis in index)].tolist())
-    return "%s", [field % next(values) if here else "" for here in present.tolist()]
+        return slots(column[index])
+    values = slots(column[tuple(axis[present] for axis in index)])
+    cells = np.zeros((present.size, values.shape[1]), np.uint8)
+    cells[present] = values
+    return cells
+
+
+def _int_slots(values):
+    """A sign byte, then the decimal digits right-aligned to the widest value."""
+    t = _tables()
+    values = values.astype(np.int64, copy=False)
+    magnitude = np.abs(values).view(np.uint64)  # -2**63 reads as 2**63
+    width = len(str(int(magnitude.max(initial=0))))
+    groups = np.empty((values.size, -(-width // 4)), np.uint32)
+    rest = magnitude
+    for g in reversed(range(groups.shape[1])):
+        higher = rest // 10000
+        groups[:, g] = t.digits4.take((rest - higher * 10000).astype(np.intp))
+        rest = higher
+    digits = groups.view(np.uint8)[:, groups.shape[1] * 4 - width :]
+    n_digits = np.ones(values.size, np.intp)
+    for p in range(1, width):
+        n_digits += magnitude >= 10**p
+    slots = np.empty((values.size, width + 1), np.uint8)
+    slots[:, 0] = np.where(values < 0, ord("-"), 0)
+    slots[:, 1:] = np.where(np.arange(width) >= (width - n_digits)[:, None], digits, 0)
+    return slots
+
+
+def _float_slots(values):
+    """Each value's text as "%.17g" writes it, in a _FLOAT_SLOT-byte slot."""
+    t = _tables()
+    x = values.astype(np.float64, copy=False)
+    magnitude = np.abs(x)
+    finite = np.isfinite(magnitude)
+    if not finite.all():
+        magnitude = np.where(finite, magnitude, 0.0)
+    # |x| = m * 2**e.  The scale's entry for e and for the decimal exponent
+    # E = floor(log10|x|) holds C = 2**e * 10**(16 - E), so that m * C, the
+    # digits as an integer plus a fraction, lies in [1e16, 1e17).
+    m, e = np.frexp(magnitude)
+    entry = (e.astype(np.intp) - _E_MIN) * 2
+    entry += magnitude >= t.next_power_of_ten.take(entry)
+    c_hi, c_hi_hi, c_hi_lo, c_lo = (column.take(entry) for column in t.scale)
+    split = m * _SPLIT
+    m_hi = split - (split - m)
+    m_lo = m - m_hi
+    product = m * c_hi  # an integer, being at least 2**53
+    rest = ((m_hi * c_hi_hi - product) + m_hi * c_hi_lo + m_lo * c_hi_hi) + m_lo * c_hi_lo
+    rest += m * c_lo
+    whole = np.floor(rest)
+    rest -= whole
+    digits = product.astype(np.int64)
+    digits += whole.astype(np.int64)
+    # Where C is a float (E from -6 to 16) the product is exact, and so is a
+    # tie, which rounds to the even neighbour.
+    exact = c_lo == 0.0
+    near_tie = (np.abs(rest - 0.5) < TIE_MARGIN) & ~exact
+    digits += (rest > 0.5) | ((rest == 0.5) & (digits & 1 == 1))
+    exponent = t.decimal_exponent.take(entry)
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    exponent += carry
+    exponent[magnitude == 0.0] = 0
+    # The 17 digits in groups of 1, 4, 4, 4 and 4.
+    high = digits // 10**8
+    digits -= high * 10**8
+    first = high // 10**8
+    high -= first * 10**8
+    groups = [first]
+    for part in (high, digits):
+        upper = part // 10**4
+        groups += [upper, part - upper * 10**4]
+    # The digits' text as the slot's first three words: digit i at byte 7 + i.
+    low_half, high_half = t.digit_words
+    text = [high_half.take(groups[0])]
+    text += [low_half.take(groups[g]) | high_half.take(groups[g + 1]) for g in (1, 3)]
+    # Digits up to the last nonzero one: 17 unless the last group is 0.
+    n_digits = 17 - t.trailing_zeros4.take(groups[-1])
+    short = np.flatnonzero(groups[-1] == 0)
+    if short.size:
+        n_digits[short] = 1
+        for group, end in zip(groups[1:-1], (5, 9, 13)):
+            part = group[short]
+            counted = end - t.trailing_zeros4.take(part)
+            n_digits[short] = np.where(part != 0, counted, n_digits[short])
+    slots = _layout(text, exponent - _DEC_MIN, n_digits, np.signbit(x))
+    for i in np.flatnonzero(~finite | near_tie).tolist():
+        cell = format(float(x[i]), ".17g").encode()
+        slots[i] = 0
+        slots[i, : len(cell)] = np.frombuffer(cell, np.uint8)
+    return slots
+
+
+def _layout(fraction_digits, exponent, n_digits, negative):
+    """The (n, _FLOAT_SLOT) uint8 slots from the first three words of the
+    digits' text (digit i at byte 7 + i), the decimal exponent (offset by
+    -_DEC_MIN), the count of digits up to the last nonzero one and the sign."""
+    t = _tables()
+    pattern = t.form.take(exponent) * 18 + n_digits
+    words = []
+    for w, fraction in enumerate(fraction_digits):
+        integer = fraction >> np.uint64(8)  # digit i at byte 6 + i
+        if w < 2:
+            integer |= fraction_digits[w + 1] << np.uint64(56)
+        integer &= t.integer_mask[w].take(pattern)
+        fraction = fraction & t.fraction_mask[w].take(pattern)
+        fraction |= integer
+        fraction |= t.marks[w].take(pattern)
+        words.append(fraction)
+    words[0] |= negative * np.uint64(ord("-"))
+    words.append(t.exponent_text.take(exponent))
+    return np.stack(words, axis=1).view(np.uint8)[:, :_FLOAT_SLOT]
+
+
+_SLOTS = {"i": _int_slots, "f": _float_slots}
+
+
+class _Tables:
+    """Lookup tables for the formatters, built once at first use (about 15 ms)."""
+
+    def __init__(self):
+        text4 = [b"%04d" % i for i in range(10000)]
+        self.digits4 = np.frombuffer(b"".join(text4), np.uint32)
+        # The same text in the low and in the high half of a word.
+        low_half = self.digits4.astype(np.uint64)
+        self.digit_words = (low_half, low_half << np.uint64(32))
+        self.trailing_zeros4 = np.array([4 - len(s.rstrip(b"0")) for s in text4], np.intp)
+        # By decimal exponent D: 10**(16 - D) as a double-double scaled by
+        # 2**-shift into (0.5, 2), and the least float >= 10**D.
+        ten_hi, ten_lo, shift, least = [], [], [], []
+        for d in range(_DEC_MIN, 309):
+            num, den = _ratio(10, 16 - d)
+            shift.append(num.bit_length() - den.bit_length())
+            hi, lo = _double_double(num << max(-shift[-1], 0), den << max(shift[-1], 0))
+            ten_hi.append(hi)
+            ten_lo.append(lo)
+            num, den = _ratio(10, d)
+            nearest = num / den  # correctly rounded, so at most one step low
+            a, b = nearest.as_integer_ratio()
+            least.append(nearest if a * den >= num * b else math.nextafter(nearest, math.inf))
+        # By entry 2 * (e - _E_MIN) + (|x| >= 10**(E0 + 1)), for the binary
+        # exponent e and E0 = floor(log10(2**(e - 1))): the decimal exponent E
+        # of |x|, and C = 2**e * 10**(16 - E) as a double-double with its high
+        # part split.  At the even entries, the least float >= 10**(E0 + 1).
+        e = np.arange(_E_MIN, _E_MAX + 1)
+        e0 = np.floor((e - 1) * math.log10(2)).astype(np.intp)
+        self.decimal_exponent = np.stack([e0, e0 + 1], axis=1).reshape(-1)
+        self.next_power_of_ten = np.full(self.decimal_exponent.size, np.inf)
+        self.next_power_of_ten[::2] = np.take(least, e0 + 1 - _DEC_MIN)
+        d = self.decimal_exponent - _DEC_MIN
+        power = (np.repeat(e, 2) + np.take(shift, d)).astype(np.int32)  # ldexp's portable type
+        hi, lo = np.ldexp(np.take(ten_hi, d), power), np.ldexp(np.take(ten_lo, d), power)
+        split = hi * _SPLIT
+        hi_hi = split - (split - hi)
+        self.scale = (hi, hi_hi, hi - hi_hi, lo)
+        # By decimal exponent E: the form (E + 4 for the fixed exponents -4
+        # to 16, 21 for scientific) and the scientific exponent's text.
+        exponents = np.arange(_DEC_MIN, 311)
+        self.form = np.where((exponents >= -4) & (exponents <= 16), exponents + 4, 21)
+        self.exponent_text = np.array(
+            [0 if -4 <= d <= 16 else int.from_bytes(b"e%+03d" % d, "little") for d in exponents],
+            np.uint64,
+        )
+        # By form * 18 + digits: which bytes of a slot take integer digits,
+        # which take fraction digits, and the fixed characters ("-0.000", ".").
+        masks = np.zeros((3, 22 * 18, 24), np.uint8)
+        for form in range(22):
+            point = 1 if form == 21 else max(form - 3, 0)  # integer digits
+            for n in range(1, 18):
+                integer, fraction, marks = masks[:, form * 18 + n]
+                integer[6 : 6 + point] = 0xFF
+                fraction[7 + point : 7 + n] = 0xFF
+                if form < 4:
+                    marks[1 : 6 - form] = np.frombuffer(b"0.000"[: 5 - form], np.uint8)
+                elif n > point:
+                    marks[6 + point] = ord(".")
+        # Each as three tables, one per word of the slot's first 24 bytes.
+        words = masks.view(np.uint64).transpose(0, 2, 1).copy()
+        self.integer_mask, self.fraction_mask, self.marks = words
+
+
+def _ratio(base, power):
+    """base**power as (numerator, denominator)."""
+    return (base**power, 1) if power >= 0 else (1, base**-power)
+
+
+def _double_double(num, den):
+    """(hi, lo), the float nearest num / den and the float nearest the rest."""
+    hi = num / den  # correctly rounded
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b)
+
+
+@functools.cache
+def _tables():
+    return _Tables()

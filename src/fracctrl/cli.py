@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -52,6 +53,23 @@ def _directory(text: str) -> str:
     return text
 
 
+def _within_memory(sizes: str, n_bytes: int) -> None:
+    """Refuse a run whose arrays, ``n_bytes`` or more, exceed physical memory.
+
+    ``sizes`` names the flags that set the arrays' sizes.  Nothing is refused
+    where the platform does not report its memory.
+    """
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if n_bytes > memory:
+        raise ContractError(
+            f"{sizes} needs at least {n_bytes} bytes of arrays, "
+            f"more than the {memory} bytes of physical memory"
+        )
+
+
 def _invest_config(args) -> InvestConfig:
     """Resolve an InvestConfig from --config JSON plus flag overrides."""
     data = {}
@@ -73,13 +91,20 @@ def _invest_config(args) -> InvestConfig:
         "gamma_exp": args.gamma_exp,
     }
     data.update({k: v for k, v in overrides.items() if v is not None})
-    return InvestConfig(**data)
+    config = InvestConfig(**data)
+    # beta and gamma (N x N), then the noise, its innovations, the wealth
+    # and the controls (paths x N or N + 1), held together.
+    n, paths = config.horizon, config.paths
+    _within_memory(f"--N {n} with --paths {paths}", 8 * (2 * n * n + 4 * paths * (n + 1)))
+    return config
 
 
 def cmd_noise_check(args) -> int:
     require("tolerance", args.tolerance, float)
     if args.tolerance < 0:
         raise ContractError(f"tolerance must be >= 0, got {args.tolerance}")
+    # beta, gamma, the identity and beta beta^T, N x N each.
+    _within_memory(f"--N {args.n}", 8 * 4 * args.n * args.n)
     system = build_innovation_system(args.hurst, args.n)
     eye = np.eye(system.horizon)
     fact_err = float(np.max(np.abs(system.beta @ system.beta.T - system.covariance)))
@@ -125,6 +150,8 @@ def cmd_bsde_converge(args) -> int:
     n_list = sorted(int(part) for part in args.n_list.split(","))
     if len(n_list) < 2:
         raise ContractError(f"--N-list needs at least two levels, got {args.n_list!r}")
+    # The top level's state, Y, Z and step grid, N + 1 floats each.
+    _within_memory(f"--N-list {args.n_list}", 8 * 4 * (n_list[-1] + 1))
     params = WeightedNormParams(
         lam=args.lambda_,
         gamma_exp=args.gamma_exp,

@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._csv import write_csv, write_json
+from ._csv import _replacing, write_csv, write_json
 from .backward import BsdeSolution, DriverSpec
 from .errors import ContractError, NumericalError, require
 from .forward import CoefficientSet, ControlProcess, StatePath, simulate_state
@@ -513,5 +513,5 @@ def _write_outputs(result: InvestResult) -> None:
     resolved["clamp_stats"] = result.clamp_stats
     write_json(out / "config.resolved.json", resolved)
 
-    with open(out / "plot_wealth.py", "w", newline="") as fh:
-        fh.write(_PLOT_SCRIPT)
+    with _replacing(out / "plot_wealth.py") as fh:
+        fh.write(_PLOT_SCRIPT.encode())

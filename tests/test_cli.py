@@ -1,4 +1,5 @@
 """Tests for the command-line interface."""
+import errno
 import json
 import os
 import subprocess
@@ -213,21 +214,43 @@ class TestInvest:
         assert "terminal wealth mean" in out
         assert "first-order check       = PASS" in out
 
-    def test_a_failed_csv_share_exits_2(self, tmp_path, capsys, monkeypatch):
-        write_rows = _csv._write_rows
+    @pytest.mark.parametrize(
+        "name, good_writes, left",
+        [
+            ("wealth.csv", 2, []),  # its header and first chunk
+            ("plot_wealth.py", 0, ["adjoint.csv", "config.resolved.json", "wealth.csv"]),
+        ],
+        ids=["wealth.csv", "plot_wealth.py"],
+    )
+    def test_a_full_disk_while_writing_exits_2(
+        self, name, good_writes, left, tmp_path, capsys, monkeypatch
+    ):
+        class FullDisk:
+            """A new file whose writes fail as on a full disk once the file
+            ``name`` has had ``good_writes`` writes."""
 
-        def rows(fh, shape, columns, lo, hi):
-            if lo > 0:
-                raise RuntimeError("cannot format")
-            write_rows(fh, shape, columns, lo, hi)
+            def __init__(self, path, mode):
+                self.file = open(path, mode)
+                self.failing = os.path.basename(path).startswith(f".{name}.")
+                self.writes = 0
 
-        monkeypatch.setattr(_csv, "_write_rows", rows)
-        monkeypatch.setattr(_csv, "MIN_SHARE_ROWS", 8)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            def write(self, data):
+                self.writes += 1
+                if self.failing and self.writes > good_writes:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.file.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+        monkeypatch.setattr(_csv, "open", FullDisk, raising=False)
+        monkeypatch.setattr(_csv, "CHUNK_ROWS", 8)  # wealth.csv: 30 rows, four chunks
         assert main(["invest", "--N", "4", "--paths", "6", "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "configuration error: " in err
-        assert "wealth.csv: the child formatting rows 15 to 29 exited with code 1" in err
+        assert f"configuration error: [Errno {errno.ENOSPC}]" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == left
 
 
 # Bad values for the flags of invest and smp-check, as the shell passes them.
@@ -281,6 +304,27 @@ def _exit_code(argv) -> int:
         return exc.code
 
 
+@pytest.fixture
+def no_large_arrays(monkeypatch):
+    """Fail, before anything is allocated, a command that goes on to build
+    arrays for more than 10**6 steps or paths."""
+
+    def guarded(name, sizes):
+        build = getattr(cli, name)
+
+        def checked(*args, **kwargs):
+            if max(sizes(*args, **kwargs)) > 10**6:
+                pytest.fail(f"{name} was reached with sizes {sizes(*args, **kwargs)}")
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, checked)
+
+    guarded("build_innovation_system", lambda hurst, horizon: [horizon])
+    guarded("run_experiment", lambda config, **kwargs: [config.horizon, config.paths])
+    guarded("adjoint_tables", lambda config, truncation: [truncation])
+    guarded("cauchy_diagnostic", lambda driver, state, sys, n_list, params: n_list)
+
+
 class TestFuzzedFlags:
     @settings(max_examples=400, deadline=None)
     @given(
@@ -309,9 +353,18 @@ class TestFuzzedFlags:
             ("--driver-constant=nan", "driver_constant must be a finite number", "bsde-converge"),
             ("--driver-constant=inf", "driver_constant must be a finite number", "bsde-converge"),
             ("--out=", "--out: must name a directory", "bsde-converge"),
+        ]
+        + [
+            ("--N=1000000000", "--N 1000000000 with --paths 3 needs at least", "invest"),
+            ("--N=1000000000", "--N 1000000000 with --paths 3 needs at least", "smp-check"),
+            ("--paths=10000000000000", "--N 2 with --paths 10000000000000 needs", "invest"),
+            ("--N=1000000000", "--N 1000000000 needs at least", "noise-check"),
+            ("--N-list=2,100000000000", "--N-list 2,100000000000 needs at least", "bsde-converge"),
         ],
     )
-    def test_flags_that_once_escaped_exit_2(self, command, flag, needle, tmp_path, monkeypatch, capsys):
+    def test_flags_that_once_escaped_exit_2(
+        self, command, flag, needle, tmp_path, monkeypatch, capsys, no_large_arrays
+    ):
         monkeypatch.chdir(tmp_path)
         assert _exit_code([command, *FUZZED_COMMANDS[command][0], flag]) == 2
         assert os.listdir(tmp_path) == []

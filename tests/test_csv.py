@@ -1,20 +1,23 @@
-"""The five CSV writers against the row loops they replaced, byte for byte.
+"""The five CSV writers against the row loops they replaced, byte for byte,
+and the float text against format(x, ".17g") itself.
 
 Each reference below is the per-row loop a writer used before all of them
 shared one chunked helper; the new writer must reproduce its file exactly on
-a single path, on row counts at, beyond and off the chunk size, and on the
-float values whose text is easiest to get wrong.  It must do so for any
-number of shares a table is split into, with share boundaries inside a path
-and inside a chunk.
+a single path, on row counts at, beyond and off the chunk size, with a chunk
+ending inside a path, and on the float values whose text is easiest to get
+wrong.  The float text is also checked on raw bit patterns, exact decimal
+ties and the floats next to every power of ten.
 """
 
 import math
-import multiprocessing
 import os
-import time
+import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracctrl import _csv
 from fracctrl._csv import CHUNK_ROWS, write_csv
@@ -153,32 +156,8 @@ GRIDS = {
     "two chunks": (2 * CHUNK_ROWS // 16, 16),
     "off the chunk": (37, 29),
     "one long path": (1, CHUNK_ROWS + 5),
+    "a chunk ends inside a path": (CHUNK_ROWS // 10 + 3, 10),
 }
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the CPUs a writer may use, with shares down to one row.
-
-    ``cpus(n)`` returns a list that collects the (shape, share bounds) of
-    every table written in parallel from then on.
-    """
-    write_shares = _csv._write_shares
-    shared = []
-
-    def recording(fh, path, shape, columns, bounds):
-        shared.append((shape, bounds))
-        write_shares(fh, path, shape, columns, bounds)
-
-    monkeypatch.setattr(_csv, "_write_shares", recording)
-    monkeypatch.setattr(_csv, "MIN_SHARE_ROWS", 1)
-
-    def set_cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-        shared.clear()
-        return shared
-
-    return set_cpus
 
 
 def assert_same_file(writer, reference, data, tmp_path):
@@ -192,7 +171,7 @@ def assert_same_file(writer, reference, data, tmp_path):
 @pytest.mark.parametrize("special", [False, True], ids=["plain", "special"])
 @pytest.mark.parametrize("grid", list(GRIDS))
 @pytest.mark.parametrize("name", list(WRITERS))
-def test_writer_matches_its_row_loop(name, grid, special, tmp_path, cpus):
+def test_writer_matches_its_row_loop(name, grid, special, tmp_path):
     writer, reference, build = WRITERS[name]
     n_paths, n_steps = GRIDS[grid]
     data = build(np.random.default_rng(n_paths * n_steps), n_paths, n_steps, special)
@@ -201,17 +180,6 @@ def test_writer_matches_its_row_loop(name, grid, special, tmp_path, cpus):
     if special and name != "loadings":
         for cell in ("-0", "nan", "inf", "-inf", "4.9406564584124654e-324"):
             assert f",{cell}," in text or f",{cell}\n" in text
-    inside_path = inside_chunk = False
-    for n in (1, 2, 3, 4):
-        shared = cpus(n)
-        assert assert_same_file(writer, reference, data, tmp_path).decode() == text
-        assert all(len(bounds) == min(n, math.prod(shape)) + 1 for shape, bounds in shared)
-        assert bool(shared) == (n > 1)
-        for shape, bounds in shared:
-            inside_path |= len(shape) == 2 and any(b % shape[1] for b in bounds)
-            inside_chunk |= any(b % CHUNK_ROWS for b in bounds)
-    assert inside_chunk
-    assert inside_path or name in ("adjoint", "loadings")  # their tables have one axis
 
 
 def test_writers_match_on_a_real_run(tmp_path):
@@ -230,75 +198,157 @@ def test_writers_match_on_a_real_run(tmp_path):
     assert_same_file(write_solution_csv, reference_solution, adjoint, tmp_path)
 
 
-def test_loadings_match_at_the_cli_size(tmp_path, cpus):
+def test_loadings_match_at_the_cli_size(tmp_path):
     system = build_innovation_system(0.75, 256)
-    want = assert_same_file(write_loadings_csv, reference_loadings, system, tmp_path)
-    for n in (1, 2, 3, 4):
-        shared = cpus(n)
-        assert assert_same_file(write_loadings_csv, reference_loadings, system, tmp_path) == want
-        assert [len(bounds) for _, bounds in shared] == ([n + 1] * 3 if n > 1 else [])
+    assert_same_file(write_loadings_csv, reference_loadings, system, tmp_path)
 
 
-def failing_rows(action):
-    """The row formatter, doing ``action(lo)`` first for every share but the first."""
-    write_rows = _csv._write_rows
-
-    def rows(fh, shape, columns, lo, hi):
-        if lo > 0:
-            action(lo)
-        write_rows(fh, shape, columns, lo, hi)
-
-    return rows
+def cells(values):
+    """The cells write_csv gives a 1-D array, one per row."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "t.csv")
+        write_csv(path, "x", [(values.shape, [values])])
+        with open(path, newline="") as fh:
+            return fh.read().split("\n")[1:-1]
 
 
-def raise_error(lo):
-    raise RuntimeError(f"cannot format from row {lo}")
+def formatted(values):
+    return [format(x, ".17g") for x in values.tolist()]
 
 
-@pytest.mark.parametrize(
-    "action, code", [(raise_error, 1), (lambda lo: os._exit(3), 3)], ids=["raises", "exits"]
+# Any float64 by its fields: sign, biased exponent (0 for zeros and
+# subnormals, 2047 for infinities and NaNs) and mantissa, its ends included.
+FLOAT_BITS = st.builds(
+    lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+    st.integers(0, 1),
+    st.integers(0, 2047),
+    st.one_of(st.integers(0, 2**52 - 1), st.sampled_from([0, 1, 2**52 - 1])),
 )
-def test_a_failed_share_is_raised_and_leaves_nothing_behind(action, code, tmp_path, cpus, monkeypatch):
-    monkeypatch.setattr(_csv, "_write_rows", failing_rows(action))
-    cpus(3)
-    values = np.arange(12.0)
-    with pytest.raises(ChildProcessError, match=f"rows 4 to 7 exited with code {code}$"):
-        write_csv(tmp_path / "t.csv", "i,x", [((12,), [0, values])])
-    assert multiprocessing.active_children() == []
-    assert os.listdir(tmp_path) == []
 
 
-def test_a_failure_in_the_first_share_stops_the_children(tmp_path, cpus, monkeypatch):
-    def first_fails(fh, shape, columns, lo, hi):
-        if lo == 0:
-            raise RuntimeError("cannot format the first share")
-        time.sleep(60)
-
-    monkeypatch.setattr(_csv, "_write_rows", first_fails)
-    cpus(4)
-    start = time.perf_counter()
-    with pytest.raises(RuntimeError, match="first share"):
-        write_csv(tmp_path / "t.csv", "i,x", [((12,), [0, np.arange(12.0)])])
-    assert time.perf_counter() - start < 30
-    assert multiprocessing.active_children() == []
-    assert os.listdir(tmp_path) == []
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FLOAT_BITS, min_size=1, max_size=64))
+def test_floats_match_format_on_raw_bit_patterns(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert cells(values) == formatted(values)
 
 
-def test_one_share_without_sched_getaffinity(tmp_path, cpus, monkeypatch):
-    shared = cpus(4)
-    monkeypatch.delattr(os, "sched_getaffinity")
-    write_csv(tmp_path / "t.csv", "i,x", [((12,), [0, np.arange(12.0)])])
-    assert shared == []
-    assert (tmp_path / "t.csv").read_text() == "i,x\n" + "".join(f"{i},{i}\n" for i in range(12))
+def test_floats_match_format_on_random_bit_patterns():
+    rng = np.random.default_rng(20191)
+    values = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    assert cells(values) == formatted(values)
+    values = 10.0 ** rng.uniform(-323.5, 308.25, 100_000) * rng.choice([-1.0, 1.0], 100_000)
+    assert cells(values) == formatted(values)
 
 
-def test_one_share_per_cpu_and_per_min_share_rows_begun(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    rows = _csv.MIN_SHARE_ROWS
-    counts = [_csv._share_count(n) for n in (0, 1, rows, rows + 1, 3 * rows, 3 * rows + 1, 100 * rows)]
-    assert counts == [1, 1, 1, 2, 3, 4, 4]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert _csv._share_count(100 * rows) == 1
+def exact_ties(rng):
+    """Floats whose exact decimal value has 18 significant digits, the last
+    a 5, so that "%.17g" rounds them half to even: k * 2**-j for odd k with
+    k * 5**j of 18 digits."""
+    ties = []
+    for j in range(2, 26):
+        low, high = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+        ties += [math.ldexp(k | 1, -j) for k in rng.integers(low, high, 50).tolist()]
+    return np.array(ties)
+
+
+def test_exact_decimal_ties_round_half_to_even():
+    assert cells(np.array([1234567890123456.25, 1234567890123456.75])) == [
+        "1234567890123456.2",
+        "1234567890123456.8",
+    ]
+    ties = exact_ties(np.random.default_rng(5))
+    for x in ties.tolist():  # each is an 18-digit tie
+        digits = f"{x:.30e}".split("e")[0].replace(".", "").rstrip("0")
+        assert len(digits) == 18 and digits.endswith("5")
+    for values in (ties, -ties, np.nextafter(ties, np.inf), np.nextafter(ties, 0.0)):
+        assert cells(values) == formatted(values)
+
+
+def test_powers_of_ten_and_the_floats_next_to_them():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    for values in (powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0.0)):
+        assert cells(values) == formatted(values)
+    edges = np.array(
+        [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-5, 1e-4, 0.1, 0.5,
+         1.0, 9999999999999998.0, 1e16, 99999999999999984.0, 1e17, 2.0**53, 2.0**60,
+         1.7976931348623157e308]
+    )
+    for values in (edges, -edges):
+        assert cells(values) == formatted(values)
+
+
+def significant_bits(x):
+    numerator = abs(x.as_integer_ratio()[0])
+    return (numerator >> ((numerator & -numerator).bit_length() - 1)).bit_length() if x else 0
+
+
+def test_the_scale_table_against_integer_arithmetic():
+    tables = _csv._tables()
+    hi, hi_hi, hi_lo, lo = (column.tolist() for column in tables.scale)
+    for i in range(0, tables.decimal_exponent.size, 2):
+        e = i // 2 + _csv._E_MIN
+        e0 = int(tables.decimal_exponent[i])
+        assert Fraction(10) ** e0 <= Fraction(2) ** (e - 1) < Fraction(10) ** (e0 + 1)
+        bound = float(tables.next_power_of_ten[i])
+        assert Fraction(math.nextafter(bound, 0.0)) < Fraction(10) ** (e0 + 1) <= Fraction(bound)
+        for j in (i, i + 1):
+            assert tables.decimal_exponent[j] == e0 + j - i
+            exact = Fraction(2) ** e * Fraction(10) ** (16 - e0 - (j - i))
+            assert abs(Fraction(hi[j]) + Fraction(lo[j]) - exact) <= exact * Fraction(2) ** -105
+            assert (lo[j] == 0.0) == (Fraction(hi[j]) == exact)  # the fast path's exact ties
+            assert hi_hi[j] + hi_lo[j] == hi[j]
+            assert significant_bits(hi_hi[j]) <= 26 and significant_bits(hi_lo[j]) <= 26
+
+
+def test_only_near_ties_and_non_finite_values_call_format(monkeypatch):
+    calls = []
+
+    def counting(value, spec):
+        calls.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(_csv, "format", counting, raising=False)
+    scales = 10.0 ** np.arange(-25, 25).repeat(1000)
+    values = np.random.default_rng(3).standard_normal(scales.size) * scales
+    # An exact tie rounds on the fast path where 10**(16 - E) is a float,
+    # for E from -6 to 16, and is formatted by format() below.
+    values[[10, 20, 30, 40]] = [np.nan, -np.inf, 1234567890123456.25, 2.0**-25]
+    assert cells(values) == formatted(values)
+    assert len(calls) < 10
+    assert -np.inf in calls and 2.0**-25 in calls and 1234567890123456.25 not in calls
+
+
+def test_integer_cells_match_percent_d(tmp_path):
+    ints = np.array(
+        [0, 7, -7, 10, -10, 9999, 10000, -99999, 12345678, 2**31, -(2**31) - 1, 10**18,
+         -(10**18), 2**63 - 1, -(2**63)],
+        dtype=np.int64,
+    )
+    write_csv(tmp_path / "t.csv", "i,v,w", [(ints.shape, [0, ints, ints[:3].astype(np.int32)])])
+    want = "".join(f"{i},{v:d},{v if i < 3 else ''}\n" for i, v in enumerate(ints.tolist()))
+    assert (tmp_path / "t.csv").read_text() == "i,v,w\n" + want
+
+
+def test_a_failure_in_a_later_chunk_leaves_nothing_behind(tmp_path, monkeypatch):
+    float_slots, calls = _csv._float_slots, []
+
+    def fails_from_the_second_chunk(values):
+        calls.append(values.size)
+        if len(calls) % 2 == 0:
+            raise RuntimeError("cannot format the second chunk")
+        return float_slots(values)
+
+    monkeypatch.setitem(_csv._SLOTS, "f", fails_from_the_second_chunk)
+    values = np.arange(CHUNK_ROWS + 3.0)
+    for previous in (None, "previous\n"):
+        if previous is not None:
+            (tmp_path / "t.csv").write_text(previous)
+        with pytest.raises(RuntimeError, match="second chunk"):
+            write_csv(tmp_path / "t.csv", "i,x", [(values.shape, [0, values])])
+        assert os.listdir(tmp_path) == ([] if previous is None else ["t.csv"])
+    assert calls == [CHUNK_ROWS, 3] * 2
+    assert (tmp_path / "t.csv").read_text() == "previous\n"
 
 
 def test_a_nan_writes_nan_and_a_missing_value_writes_nothing(tmp_path):
