@@ -1,11 +1,13 @@
 """The layout of every CSV table and JSON report the package writes.
 
-A table is a header line, then integers as integers, floats as
+A table is a header line, then integers as "%d" writes them, floats as
 format(x, ".17g") (round-trips every float64), strings as they are, and an
 empty cell where there is no value.
 
-The text is made in numpy, CHUNK_ROWS rows at a time, with no Python call
-per value.  Each cell of a chunk fills a fixed-width slot of bytes, and the
+The text is made CHUNK_ROWS rows at a time.  An integer column whose values
+span no more than the chunk's rows, as a grid axis does, is formatted once
+per distinct value; floats are formatted in numpy, with no Python call per
+value.  Each cell of a chunk fills a fixed-width slot of bytes, and the
 places a cell does not use hold the filler byte 0, which the chunk's text
 leaves out.  A float's 17 significant digits are |x| * 10**k rounded half to
 even, with |x| * 10**k taken from one double-double product (Dekker's exact
@@ -113,10 +115,8 @@ def _text(n: int, cells) -> bytes:
 def _cells(column, index):
     """The slots of one column over one chunk of rows, an (n, width) uint8
     array (a constant's has one row)."""
-    if isinstance(column, int):  # few distinct indices, each formatted once
-        axis = index[column]
-        low = axis.min()
-        return _int_slots(np.arange(low, axis.max() + 1)).take(axis - low, axis=0)
+    if isinstance(column, int):
+        return _int_slots(index[column])
     if isinstance(column, str):
         return np.frombuffer(column.encode(), np.uint8)[None]
     slots = _SLOTS[column.dtype.kind]
@@ -130,25 +130,15 @@ def _cells(column, index):
 
 
 def _int_slots(values):
-    """A sign byte, then the decimal digits right-aligned to the widest value."""
-    t = _tables()
-    values = values.astype(np.int64, copy=False)
-    magnitude = np.abs(values).view(np.uint64)  # -2**63 reads as 2**63
-    width = len(str(int(magnitude.max(initial=0))))
-    groups = np.empty((values.size, -(-width // 4)), np.uint32)
-    rest = magnitude
-    for g in reversed(range(groups.shape[1])):
-        higher = rest // 10000
-        groups[:, g] = t.digits4.take((rest - higher * 10000).astype(np.intp))
-        rest = higher
-    digits = groups.view(np.uint8)[:, groups.shape[1] * 4 - width :]
-    n_digits = np.ones(values.size, np.intp)
-    for p in range(1, width):
-        n_digits += magnitude >= 10**p
-    slots = np.empty((values.size, width + 1), np.uint8)
-    slots[:, 0] = np.where(values < 0, ord("-"), 0)
-    slots[:, 1:] = np.where(np.arange(width) >= (width - n_digits)[:, None], digits, 0)
-    return slots
+    """Each value's "%d" text in a slot as wide as the widest; formatted once
+    per distinct value unless the values span more than their count."""
+    values = values.astype(np.int64)  # so that values - low cannot wrap
+    low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    if high - low < values.size:
+        text = np.array([b"%d" % v for v in range(low, high + 1)])
+        return text.view(np.uint8).reshape(text.size, -1).take(values - low, axis=0)
+    text = np.array([b"%d" % v for v in values.tolist()], "S")
+    return text.view(np.uint8).reshape(text.size, -1)
 
 
 def _float_slots(values):
@@ -245,9 +235,8 @@ class _Tables:
 
     def __init__(self):
         text4 = [b"%04d" % i for i in range(10000)]
-        self.digits4 = np.frombuffer(b"".join(text4), np.uint32)
         # The same text in the low and in the high half of a word.
-        low_half = self.digits4.astype(np.uint64)
+        low_half = np.frombuffer(b"".join(text4), np.uint32).astype(np.uint64)
         self.digit_words = (low_half, low_half << np.uint64(32))
         self.trailing_zeros4 = np.array([4 - len(s.rstrip(b"0")) for s in text4], np.intp)
         # By decimal exponent D: 10**(16 - D) as a double-double scaled by

@@ -38,6 +38,7 @@ Cauchy sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Callable, Optional
@@ -69,19 +70,19 @@ class DriverSpec:
     multiplies the predicted next increment.  ``f1(n, y)`` and ``g1(n, y)``
     are the reduced terminal drivers; when absent the terminal step evaluates
     f (and g) at z = 0, which is recorded in the solution diagnostics.
-    Optional partials f_x, f_y, f_z, f_u follow the signature of f.  The
-    bracket calls f_u once per block of paths over all steps: n is then the
-    array of step indices 0..N and x, y, z, u are (paths, N + 1) arrays, so
-    f_u must broadcast in n as well (or ignore it).
+    Along a state ensemble x, y, z and u are per-path arrays; a solve with
+    no state calls f and f1 with Python floats (x = z = 0, u NaN past the
+    controls) and needs a float back.  The optional control partial f_u
+    follows the signature of f.  The bracket calls it once per block of
+    paths over all steps: n is then the array of step indices 0..N and x,
+    y, z, u are (paths, N + 1) arrays, so f_u must broadcast in n as well
+    (or ignore it).
     """
 
     f: Callable
     g: Optional[Callable] = None
     f1: Optional[Callable] = None
     g1: Optional[Callable] = None
-    f_x: Optional[Callable] = None
-    f_y: Optional[Callable] = None
-    f_z: Optional[Callable] = None
     f_u: Optional[Callable] = None
 
 
@@ -207,21 +208,35 @@ def _control_at(control_values: Optional[np.ndarray], n: int, n_paths: int) -> n
     return np.broadcast_to(control_values[..., n], (n_paths,))
 
 
-def _discount_ratios(truncation, lam, gamma_exp, window, degree) -> np.ndarray:
-    """Check the arguments every truncated solve shares; return d_1, ..., d_N."""
-    require("truncation", truncation, int)
-    require("lam", lam, float)
-    require("gamma_exp", gamma_exp, float)
-    require("window", window, int)
-    require("degree", degree, int)
-    if truncation < 1:
-        raise ContractError(f"truncation must be >= 1, got {truncation}")
-    if lam <= 0 or gamma_exp <= 1:
-        raise ContractError(f"need lam > 0 and gamma_exp > 1, got {lam}, {gamma_exp}")
-    if window < 0 or degree < 0:
-        raise ContractError(f"need window >= 0 and degree >= 0, got {window}, {degree}")
-    steps = np.arange(int(truncation) + 1, dtype=float)
-    return np.exp(-lam * np.diff(steps**gamma_exp))
+_NON_FINITE = (
+    "backward target became non-finite at step {} (a NaN here often "
+    "means the terminal step needed a control value past the horizon)"
+)
+
+
+def _one_path(driver: DriverSpec, ratios: list, control_values) -> list:
+    """Y_0, ..., Y_N of a deterministic exact solve as a recursion over floats:
+    the driver sees x = z = 0 and u NaN past the controls, and a target t is
+    its own expectation, the exact backend's midpoint 0.5 (t + t), which
+    overflows where 2 |t| does."""
+    n_trunc = len(ratios)
+    u = np.full(n_trunc + 1, np.nan)
+    if control_values is not None:
+        known = min(control_values.shape[-1], n_trunc + 1)
+        u[:known] = control_values[..., :known]
+    u = u.tolist()
+    y = [0.0] * (n_trunc + 1)
+    for n in range(n_trunc - 1, -1, -1):
+        m = n + 1
+        if m == n_trunc and driver.f1 is not None:
+            f_val = driver.f1(m, y[m])
+        else:
+            f_val = driver.f(m, 0.0, y[m], 0.0, u[m])
+        target = ratios[n] * (y[m] + f_val)
+        if not math.isfinite(target):
+            raise NumericalError(_NON_FINITE.format(n))
+        y[n] = 0.5 * (target + target)
+    return y
 
 
 def solve_truncated(
@@ -238,19 +253,30 @@ def solve_truncated(
 ) -> BsdeSolution:
     """Solve the truncated backward pair along ``state``.
 
-    ``state`` may be None for deterministic problems on the exact backend (a
-    single synthetic path is used).  ``sys`` is required whenever the driver
-    has a g-term, and must extend one row past the truncation so the
-    prediction at prefix length N exists.  ``control_values`` defaults to the
-    controls realized in ``state``.
+    ``state`` may be None for deterministic problems on the exact backend
+    without a g-term: Y is then one path, solved as a recursion over Python
+    floats with no conditional_expectation call, and Z is zero.  ``sys`` is
+    required whenever the driver has a g-term, and must extend one row past
+    the truncation so the prediction at prefix length N exists.
+    ``control_values`` defaults to the controls realized in ``state``.
     """
-    ratios = _discount_ratios(truncation, lam, gamma_exp, window, degree)
+    require("truncation", truncation, int)
+    require("lam", lam, float)
+    require("gamma_exp", gamma_exp, float)
+    require("window", window, int)
+    require("degree", degree, int)
+    if truncation < 1:
+        raise ContractError(f"truncation must be >= 1, got {truncation}")
+    if lam <= 0 or gamma_exp <= 1:
+        raise ContractError(f"need lam > 0 and gamma_exp > 1, got {lam}, {gamma_exp}")
+    if window < 0 or degree < 0:
+        raise ContractError(f"need window >= 0 and degree >= 0, got {window}, {degree}")
     n_trunc = int(truncation)
+    steps = np.arange(n_trunc + 1, dtype=float)
+    ratios = np.exp(-lam * np.diff(steps**gamma_exp))  # d_1, ..., d_N
     if state is None:
         if backend != "exact":
             raise ContractError("the regression backend needs a simulated state ensemble")
-        n_paths = 1
-        x_all = np.zeros((1, n_trunc + 1))
         xi = eta = None
     else:
         if state.horizon < n_trunc:
@@ -277,6 +303,19 @@ def solve_truncated(
         if xi is None:
             raise ContractError("a g-term needs noise paths; solve along a simulated state")
         predictions = prediction_matrix(sys, xi, n_trunc)
+
+    diagnostics = {
+        "used_default_terminal": driver.f1 is None,
+        "used_default_terminal_noise": driver.g is not None and driver.g1 is None,
+        "window": window,
+        "degree": degree,
+    }
+    if state is None:
+        y = _one_path(driver, ratios.tolist(), control_values)
+        return BsdeSolution(
+            y=np.array([y]), z=np.zeros((1, n_trunc)), lam=lam, gamma_exp=gamma_exp,
+            backend=backend, diagnostics=diagnostics,
+        )
 
     # Step-major buffers: each step reads and writes one contiguous row.
     y = np.zeros((n_trunc + 1, n_paths))
@@ -305,10 +344,7 @@ def solve_truncated(
             target = target + ratios[n] * np.broadcast_to(g_val, (n_paths,)) * predictions[:, m]
         target = np.broadcast_to(target, (n_paths,))
         if not np.all(np.isfinite(target)):
-            raise NumericalError(
-                f"backward target became non-finite at step {n} (a NaN here often "
-                "means the terminal step needed a control value past the horizon)",
-            )
+            raise NumericalError(_NON_FINITE.format(n))
         if backend == "exact":
             y[n] = conditional_expectation(target, None, "exact")
         else:
@@ -329,12 +365,6 @@ def solve_truncated(
             cond_max = max(cond_max, float(singular[0] / singular[-1]))
             fallbacks += health["fallback"]
 
-    diagnostics = {
-        "used_default_terminal": driver.f1 is None,
-        "used_default_terminal_noise": driver.g is not None and driver.g1 is None,
-        "window": window,
-        "degree": degree,
-    }
     if backend != "exact":
         diagnostics.update(
             fit_min_singular=singular_min, fit_max_cond=cond_max, fit_fallbacks=fallbacks

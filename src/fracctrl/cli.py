@@ -9,10 +9,11 @@ Four subcommands cover the package end to end:
 
 Exit codes: 0 on success, 1 when a numerical check fails or a computation
 breaks down, 2 on configuration errors (bad flags, malformed or unknown
-config keys).  Commands that write files also drop a JSON snapshot of the
-resolved configuration next to the outputs, so a run can be reproduced from
-its artifacts alone.  smp-check and invest gate on the exact box certificate
-of the first-order inequality; --trials N adds a seeded random-trial witness
+config keys) and on failed file reads or writes, each under its own label.
+Commands that write files also drop a JSON snapshot of the resolved
+configuration next to the outputs, so a run can be reproduced from its
+artifacts alone.  smp-check and invest gate on the exact box certificate of
+the first-order inequality; --trials N adds a seeded random-trial witness
 that never changes the verdict.
 """
 
@@ -75,7 +76,10 @@ def _invest_config(args) -> InvestConfig:
     data = {}
     if args.config is not None:
         with open(args.config) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # malformed JSON or text
+                raise ContractError(f"config file {args.config} is not JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ContractError(f"config file must hold a JSON object, got {type(data).__name__}")
         known = {f.name for f in fields(InvestConfig)}
@@ -147,7 +151,10 @@ def _converge_driver(args, n_top: int) -> DriverSpec:
 
 def cmd_bsde_converge(args) -> int:
     require("driver_constant", args.driver_constant, float)
-    n_list = sorted(int(part) for part in args.n_list.split(","))
+    try:
+        n_list = sorted(int(part) for part in args.n_list.split(","))
+    except ValueError:
+        raise ContractError(f"--N-list must be comma-separated integers, got {args.n_list!r}") from None
     if len(n_list) < 2:
         raise ContractError(f"--N-list needs at least two levels, got {args.n_list!r}")
     # The top level's state, Y, Z and step grid, N + 1 floats each.
@@ -306,8 +313,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except (ContractError, ValueError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except (ContractError, OSError) as exc:
+        label = "configuration" if isinstance(exc, ContractError) else "file"
+        print(f"{label} error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -143,6 +143,8 @@ class InvestConfig:
             raise ContractError(f"horizon must be >= 1, got {self.horizon}")
         if self.paths < 1:
             raise ContractError(f"paths must be >= 1, got {self.paths}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
 
     def chi(self, n: int) -> float:
         """Consumption indicator chi_n: 1.0 at a consumption step, else 0.0."""
@@ -198,13 +200,10 @@ def coefficient_set(config: InvestConfig) -> CoefficientSet:
 
 
 def cost_driver(config: InvestConfig) -> DriverSpec:
-    """Running cost (lam/2) y - Q x chi_n + R v^beta with declared partials."""
+    """Running cost (lam/2) y - Q x chi_n + R v^beta with its control partial f_u."""
     lam, q_w, r_w, beta = config.lam, config.wealth_weight, config.risk_weight, config.beta_exp
     return DriverSpec(
         f=lambda n, x, y, z, u: 0.5 * lam * y - q_w * x * config.chi(n) + r_w * u**beta,
-        f_x=lambda n, x, y, z, u: -q_w * config.chi(n),
-        f_y=lambda n, x, y, z, u: 0.5 * lam,
-        f_z=lambda n, x, y, z, u: 0.0,
         f_u=lambda n, x, y, z, u: beta * r_w * u ** (beta - 1),
     )
 

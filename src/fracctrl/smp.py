@@ -40,12 +40,10 @@ per-step coefficients.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .backward import BsdeSolution, DriverSpec, _control_at, _discount_ratios, solve_truncated
-from .errors import ContractError, NumericalError, require
+from .backward import BsdeSolution, DriverSpec, _control_at, solve_truncated
+from .errors import ContractError, require
 from .forward import CoefficientSet, StatePath
 from .fracnoise import InnovationSystem, prediction_matrix
 
@@ -67,12 +65,6 @@ __all__ = [
 # necessary_bracket call stays about 128 KB, so the blocks add little to the
 # peak memory of a run.
 _BLOCK_ENTRIES = 1 << 14
-
-
-def _at(values, n: int):
-    """Per-step lookup for scalar-or-array coefficient tables."""
-    arr = np.asarray(values, dtype=float)
-    return arr if arr.ndim == 0 else arr[..., n]
 
 
 def solve_adjoint_k(f_y, f_z, n_steps: int, eta=None) -> np.ndarray:
@@ -143,60 +135,35 @@ def solve_adjoint_pq(
     solve_adjoint_k.  A nonzero sigma_x brings in the prediction term and
     therefore needs ``sys``; otherwise the solve is free of the innovation
     system and, for deterministic tables, of any simulated state.  Scalar or
-    1-D tables with sigma_x = 0, no state and the exact backend are solved as
-    a plain float recursion, bit-identical to the generic exact solve.
+    1-D tables are read as Python floats, so a deterministic solve does no
+    per-step array work.
     """
     require("truncation", truncation, int)
     need_g = bool(np.any(np.asarray(sigma_x, dtype=float) != 0.0))
     if need_g and sys is None:
         raise ContractError("a nonzero sigma_x needs the innovation system for predictions")
-    tables = [np.asarray(t, dtype=float) for t in (b_x, f_x, k)]
-    if state is None and backend == "exact" and not need_g and all(t.ndim <= 1 for t in tables):
-        return _solve_deterministic_pq(*tables, truncation, lam, gamma_exp, window, degree)
-    beta_diag = np.diag(sys.beta)[: truncation + 1] if sys is not None else np.ones(truncation + 1)
+    n_steps = int(truncation) + 1
+    bd = np.diag(sys.beta)[:n_steps].tolist() if sys is not None else [1.0] * n_steps
+    bx, sx, fx, kk = (_per_step(t, n_steps) for t in (b_x, sigma_x, f_x, k))
 
     def f(m, x, y, z, u):
-        return _at(b_x, m) * y + beta_diag[m] * _at(sigma_x, m) * z - _at(f_x, m) * _at(k, m)
+        return bx[m] * y + bd[m] * sx[m] * z - fx[m] * kk[m]
 
-    g = (lambda m, x, y, z, u: _at(sigma_x, m) * y) if need_g else None
+    g = (lambda m, x, y, z, u: sx[m] * y) if need_g else None
     return solve_truncated(
         DriverSpec(f=f, g=g), state, sys, truncation, lam, gamma_exp,
         backend=backend, window=window, degree=degree,
     )
 
 
-def _solve_deterministic_pq(b_x, f_x, k, truncation, lam, gamma_exp, window, degree):
-    """solve_adjoint_pq for scalar or 1-D tables with sigma_x = 0 and no state.
-
-    The pair is then a recursion over Python floats with q = 0.  Each step
-    does the generic exact solve's arithmetic in its order, the ``+ 0.0`` of
-    the sigma_x z term and the midpoint 0.5 (t + t) of the one-path target
-    included, so y is bit-identical to it.
-    """
-    ratios = _discount_ratios(truncation, lam, gamma_exp, window, degree).tolist()
-    n_trunc = int(truncation)
-    b_x, f_x, k = (
-        [float(t)] * (n_trunc + 1) if t.ndim == 0 else t[: n_trunc + 1].tolist()
-        for t in (b_x, f_x, k)
-    )
-    y = [0.0] * (n_trunc + 1)
-    for n in range(n_trunc - 1, -1, -1):
-        m = n + 1
-        f_val = b_x[m] * y[m] + 0.0 - f_x[m] * k[m]
-        target = ratios[n] * (y[m] + f_val)
-        if not math.isfinite(target):
-            raise NumericalError(f"backward target became non-finite at step {n}")
-        y[n] = 0.5 * (target + target)
-    diagnostics = {
-        "used_default_terminal": True,
-        "used_default_terminal_noise": False,
-        "window": window,
-        "degree": degree,
-    }
-    return BsdeSolution(
-        y=np.array([y]), z=np.zeros((1, n_trunc)), lam=lam, gamma_exp=gamma_exp,
-        backend="exact", diagnostics=diagnostics,
-    )
+def _per_step(table, n_steps: int) -> list:
+    """Entries 0..n_steps-1 of a scalar or per-step table, one per step:
+    floats for a scalar or 1-D table, per-path columns for a 2-D one."""
+    table = np.asarray(table, dtype=float)
+    if table.ndim == 0:
+        return [float(table)] * n_steps
+    steps = np.moveaxis(table[..., :n_steps], -1, 0)
+    return steps.tolist() if table.ndim == 1 else list(steps)
 
 
 def hamiltonian(coeffs: CoefficientSet, cost: DriverSpec, n, x, y, z, u, p, q, k, pred, beta_nn):
@@ -439,13 +406,15 @@ def solve_variational(
     The per-step cost partials are scalars or tables evaluated along the
     base pair; the generator is f_x Xhat + f_y Yhat + f_z Zhat + f_u v.
     """
+    require("truncation", truncation, int)
     xhat = variation.values
     v = np.asarray(directions, dtype=float)
     n_paths = variation.n_paths
+    fx, fy, fz, fu = (_per_step(t, int(truncation) + 1) for t in (f_x, f_y, f_z, f_u))
 
     def f(m, x, y, z, u):
         v_m = _control_at(v, m, n_paths)
-        return _at(f_x, m) * xhat[:, m] + _at(f_y, m) * y + _at(f_z, m) * z + _at(f_u, m) * v_m
+        return fx[m] * xhat[:, m] + fy[m] * y + fz[m] * z + fu[m] * v_m
 
     return solve_truncated(
         DriverSpec(f=f), variation, None, truncation, lam, gamma_exp,

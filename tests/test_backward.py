@@ -19,7 +19,7 @@ from fracctrl.backward import (
     solve_truncated,
     write_solution_csv,
 )
-from fracctrl.forward import CoefficientSet, ControlProcess, simulate_state
+from fracctrl.forward import CoefficientSet, ControlProcess, StatePath, simulate_state
 from fracctrl.fracnoise import NoiseEnsemble, build_innovation_system, sample_ensemble
 from fracctrl.spaces import WeightedNormParams, weighted_norm
 
@@ -316,6 +316,30 @@ class TestSolveTruncatedExact:
             err_msg=f"adjoint values {sol.y[0]} off the frozen recursion",
         )
         assert_allclose(sol.z, 0.0, rtol=0, atol=0, err_msg="deterministic adjoint must have q = 0")
+
+    @pytest.mark.parametrize("n_controls,f1", [(5, None), (4, None), (4, lambda n, y: 2.0 + y)])
+    def test_a_stateless_solve_reads_controls_as_the_array_loop_does(self, n_controls, f1):
+        # Four controls end before the terminal step 4, where u is then NaN
+        # unless the terminal driver f1, which reads no control, takes over.
+        controls = 0.5 ** np.arange(n_controls)
+        driver = DriverSpec(f=lambda n, x, y, z, u: 0.3 * y + u, f1=f1)
+        zeros = np.zeros((1, 4))
+        one_path = StatePath(
+            values=np.zeros((1, 5)), controls=controls[None],
+            noise=NoiseEnsemble(seed=0, eta=zeros, xi=zeros),
+        )
+        solves = [
+            lambda: solve_truncated(driver, None, None, 4, 0.5, 1.5, "exact", control_values=controls),
+            lambda: solve_truncated(driver, one_path, None, 4, 0.5, 1.5, "exact"),
+        ]
+        if f1 is None and n_controls == 4:
+            for solve in solves:
+                with pytest.raises(NumericalError, match="non-finite at step 3"):
+                    solve()
+            return
+        floats, array_loop = (solve() for solve in solves)
+        assert np.array_equal(floats.y, array_loop.y) and np.array_equal(floats.z, array_loop.z)
+        assert floats.y[0, 3] != 0.0, "the controls must reach the driver"
 
     def test_exact_backend_rejects_stochastic_targets(self):
         sys, state = simulate_white(4, 32, seed=5)

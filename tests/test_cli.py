@@ -103,6 +103,11 @@ class TestBsdeConverge:
     def test_theta_ladder_accepted(self):
         assert main(["bsde-converge", "--theta", "2.0", "--N-list", "4,8,16"]) == 0
 
+    @pytest.mark.parametrize("n_list", ["x", "2.5,4", "4,"])
+    def test_malformed_levels_exit_2(self, n_list, capsys):
+        assert main(["bsde-converge", "--N-list", n_list]) == 2
+        assert "--N-list must be comma-separated integers" in capsys.readouterr().err
+
     def test_single_level_exits_2(self, capsys):
         assert main(["bsde-converge", "--N-list", "8"]) == 2
         assert "configuration error" in capsys.readouterr().err
@@ -184,6 +189,19 @@ class TestInvest:
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["invest", "--config", str(tmp_path / "absent.json")]) == 2
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["invest", "--seed", "-1", "--paths", "4", "--N", "4"]) == 2
+        assert "configuration error: seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_an_internal_value_error_is_not_a_configuration_error(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            main(["invest", "--paths", "4", "--N", "4"])
+        assert "configuration error" not in capsys.readouterr().err
+
     def test_invalid_parameter_exits_2(self, capsys):
         assert main(["invest", "--H", "1.5", "--paths", "4", "--N", "4"]) == 2
         assert "hurst" in capsys.readouterr().err
@@ -249,7 +267,7 @@ class TestInvest:
         monkeypatch.setattr(_csv, "open", FullDisk, raising=False)
         monkeypatch.setattr(_csv, "CHUNK_ROWS", 8)  # wealth.csv: 30 rows, four chunks
         assert main(["invest", "--N", "4", "--paths", "6", "--out", str(tmp_path)]) == 2
-        assert f"configuration error: [Errno {errno.ENOSPC}]" in capsys.readouterr().err
+        assert f"file error: [Errno {errno.ENOSPC}]" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == left
 
 

@@ -330,6 +330,16 @@ def test_integer_cells_match_percent_d(tmp_path):
     assert (tmp_path / "t.csv").read_text() == "i,v,w\n" + want
 
 
+def test_a_narrow_integer_column_spanning_its_range(tmp_path):
+    # -100..100 in int8 over 400 rows: formatted once per distinct value, so
+    # the offsets from the low end must not wrap in int8 (100 - -100 = 200).
+    ints = np.random.default_rng(5).integers(-100, 101, 400).astype(np.int8)
+    ints[:2] = [-100, 100]
+    write_csv(tmp_path / "t.csv", "v", [(ints.shape, [ints])])
+    want = "".join(f"{v:d}\n" for v in ints.tolist())
+    assert (tmp_path / "t.csv").read_text() == "v\n" + want
+
+
 def test_a_failure_in_a_later_chunk_leaves_nothing_behind(tmp_path, monkeypatch):
     float_slots, calls = _csv._float_slots, []
 

@@ -9,10 +9,21 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fracctrl import ContractError, NumericalError
-from fracctrl import smp
+from fracctrl import backward, smp
 from fracctrl.backward import BsdeSolution, DriverSpec, solve_truncated
-from fracctrl.forward import CoefficientSet, ControlProcess, simulate_state, simulate_variation
-from fracctrl.fracnoise import build_innovation_system, prediction_matrix, sample_ensemble
+from fracctrl.forward import (
+    CoefficientSet,
+    ControlProcess,
+    StatePath,
+    simulate_state,
+    simulate_variation,
+)
+from fracctrl.fracnoise import (
+    NoiseEnsemble,
+    build_innovation_system,
+    prediction_matrix,
+    sample_ensemble,
+)
 from fracctrl.invest import (
     InvestConfig,
     adjoint_tables,
@@ -60,9 +71,6 @@ def linear_coeffs(b_x=0.1, b_u=0.3, s_x=0.0, s_u=0.0, s0=0.05):
 def linear_cost(f_x=0.3, f_y=0.4, f_z=0.0, f_u=0.7):
     return DriverSpec(
         f=lambda n, x, y, z, u: f_x * x + f_y * y + f_z * z + f_u * u,
-        f_x=lambda n, x, y, z, u: f_x + 0.0 * y,
-        f_y=lambda n, x, y, z, u: f_y + 0.0 * y,
-        f_z=lambda n, x, y, z, u: f_z + 0.0 * y,
         f_u=lambda n, x, y, z, u: f_u + 0.0 * y,
     )
 
@@ -235,8 +243,17 @@ class TestAdjointPair:
         )
 
 
+def one_path_zeros(truncation):
+    """An explicit one-path state of zeros, its controls all NaN."""
+    noise = NoiseEnsemble(seed=0, eta=np.zeros((1, truncation)), xi=np.zeros((1, truncation)))
+    return StatePath(
+        values=np.zeros((1, truncation + 1)), controls=np.full((1, truncation), np.nan), noise=noise
+    )
+
+
 def generic_pq(b_x, f_x, k, truncation, lam, gamma_exp):
-    """The adjoint pair through the generic exact solve, driver as in smp."""
+    """The adjoint pair through the array loop of the exact solve, run on an
+    explicit one-path ensemble of zeros, driver as in smp."""
 
     def at(table, m):
         table = np.asarray(table, dtype=float)
@@ -245,11 +262,14 @@ def generic_pq(b_x, f_x, k, truncation, lam, gamma_exp):
     def f(m, x, y, z, u):
         return at(b_x, m) * y + 1.0 * 0.0 * z - at(f_x, m) * at(k, m)
 
-    return solve_truncated(DriverSpec(f=f), None, None, truncation, lam, gamma_exp, backend="exact")
+    return solve_truncated(
+        DriverSpec(f=f), one_path_zeros(int(truncation)), None, truncation, lam, gamma_exp,
+        backend="exact",
+    )
 
 
 class TestDeterministicAdjoint:
-    """The float recursion of solve_adjoint_pq against the generic exact solve."""
+    """The one-path float recursion of solve_adjoint_pq against the array loop."""
 
     @staticmethod
     def assert_same_solution(fast, generic):
@@ -320,6 +340,17 @@ class TestDeterministicAdjoint:
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(NumericalError, match="non-finite at step 1"):
                     solve()
+
+    def test_a_deterministic_solve_takes_no_conditional_expectation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("conditional_expectation called on a state=None solve")
+
+        monkeypatch.setattr(backward, "conditional_expectation", refuse)
+        b_x, f_x, k = adjoint_tables(InvestConfig(), 40)
+        assert solve_adjoint_pq(b_x, 0.0, f_x, k, 40, 1.0, 2.0).truncation == 40
+        solution = solve_truncated(DriverSpec(f=lambda n, x, y, z, u: 1.0), None, None, 6, 0.5, 1.5,
+                                   backend="exact")
+        assert solution.y.shape == (1, 7) and np.array_equal(solution.z, np.zeros((1, 6)))
 
 
 class TestHamiltonian:
@@ -758,3 +789,37 @@ class TestVariationalDuality:
         # not merely within Monte Carlo error.
         assert report["rhs"] > 0.1, f"vacuous configuration: {report}"
         assert report["gap"] < 1e-5, f"duality gap too wide: {report}"
+
+    # Coefficients on a 1e-3 grid in [-1, 1]: no subnormal bracket terms,
+    # whose rounding is not relative.
+    milli = st.integers(-1000, 1000).map(lambda i: i / 1000)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        partials=st.lists(milli, min_size=5, max_size=5),
+        lam=st.floats(0.05, 2.0),
+        gamma_exp=st.floats(1.05, 2.5),
+        n_trunc=st.integers(1, 12),
+        u_star=milli,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_duality_identity_on_random_deterministic_models(
+        self, partials, lam, gamma_exp, n_trunc, u_star, seed
+    ):
+        b_x, b_u, f_x, f_y, f_u = partials
+        sys = build_innovation_system(0.75, n_trunc + 1)
+        noise = sample_ensemble(sys, seed, 4, n_steps=n_trunc)
+        coeffs = linear_coeffs(b_x=b_x, b_u=b_u)  # sigma constant: a deterministic variation
+        state = simulate_state(coeffs, ControlProcess(values=np.full(n_trunc, u_star)), noise, 1.0)
+        v = np.random.default_rng(seed).uniform(-1.0, 1.0, n_trunc + 1)
+        k = solve_adjoint_k(f_y, 0.0, n_trunc)
+        adjoint = solve_adjoint_pq(b_x, 0.0, f_x, k, n_trunc, lam, gamma_exp)
+        variational = solve_variational(
+            f_x, f_y, 0.0, f_u, simulate_variation(coeffs, state, v), v, n_trunc, lam, gamma_exp,
+            backend="exact",
+        )
+        bracket = bracket_values(coeffs, linear_cost(f_x=f_x, f_y=f_y, f_u=f_u), state, adjoint, k, sys)
+        report = duality_gap(bracket, v, variational)
+        weights = np.exp(-lam * np.arange(n_trunc + 1.0) ** gamma_exp)
+        scale = float(np.sum(np.abs(weights * bracket[0] * v)))
+        assert report["gap"] <= 1e-12 * scale, f"{report}, term scale {scale:.3e}"
