@@ -265,7 +265,9 @@ def _interior_root(config: InvestConfig, slope, k, out=None):
     before the 1/(beta-1) power."""
     base = np.divide(slope, config.beta_exp * config.risk_weight * k, out=out)
     base = np.maximum(base, 0.0, out=out)
-    base **= 1.0 / (config.beta_exp - 1.0)
+    power = 1.0 / (config.beta_exp - 1.0)
+    if power != 1.0:  # x ** 1.0 == x: skip a full pass at the default beta_exp 2
+        base **= power
     return base
 
 

@@ -157,6 +157,17 @@ class TestConditionalExpectation:
         assert names == want_names
         assert np.array_equal(design, want), "in-place design must be bit-identical"
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_design_ignores_the_window_layout(self, degree):
+        # A window of sampled xi is a Fortran-contiguous block of steps.
+        by_step = np.random.default_rng(degree).standard_normal((8, 300))
+        window = by_step[2:7].T
+        assert window.flags.f_contiguous
+        design, names = _poly_design(window, degree)
+        want, want_names = _poly_design(np.ascontiguousarray(window), degree)
+        assert names == want_names
+        assert np.array_equal(design, want)
+
     def test_two_column_fit_equals_two_single_fits(self):
         rng = np.random.default_rng(17)
         feats = rng.standard_normal((2000, 3))

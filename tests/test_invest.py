@@ -11,8 +11,9 @@ from numpy.testing import assert_allclose
 
 from fracctrl import invest as invest_module
 from fracctrl.errors import ContractError, NumericalError
-from fracctrl.forward import ControlProcess, check_partials, simulate_state
+from fracctrl.forward import ControlProcess, check_partials, simulate_state, simulate_variation
 from fracctrl.fracnoise import (
+    NoiseEnsemble,
     build_innovation_system,
     predict_next,
     prediction_matrix,
@@ -30,7 +31,13 @@ from fracctrl.invest import (
     run_experiment,
     solve_adjoint,
 )
-from fracctrl.smp import bracket_values, check_necessary_condition, solve_adjoint_k
+from fracctrl.smp import (
+    bracket_values,
+    check_necessary_condition,
+    duality_gap,
+    solve_adjoint_k,
+    solve_variational,
+)
 
 # Frozen independently of the package (plain recursions written out by hand):
 # adjoint of the consumption problem with times {2}, truncation 2, lam=1,
@@ -268,6 +275,16 @@ class TestControlFormula:
     def test_vanishing_k_rejected_past_step_zero(self):
         with pytest.raises(ContractError, match="step 3"):
             closed_form_control(InvestConfig(), 3, x=1.0, p_n=-1.0, k_n=0.0, pred=0.0)
+
+    @pytest.mark.parametrize("beta_exp", [2.0, 1.5])
+    def test_interior_root_takes_the_power_unless_it_is_one(self, beta_exp):
+        cfg = InvestConfig(beta_exp=beta_exp)
+        slope = np.random.default_rng(1).standard_normal(1000)
+        k = -0.7
+        base = np.maximum(slope / (cfg.beta_exp * cfg.risk_weight * k), 0.0)
+        root = invest_module._interior_root(cfg, slope, k)
+        assert np.array_equal(root, base ** (1.0 / (cfg.beta_exp - 1.0)))
+        assert np.array_equal(root, base) is (beta_exp == 2.0)
 
     def test_vectorizes_over_paths(self):
         cfg = InvestConfig()
@@ -518,3 +535,94 @@ class TestSharedPredictions:
         assert result.check["passed"] is check["passed"] is True
         assert result.check["n_violations"] == check["n_violations"]
         assert result.clamp_stats == clamp_stats
+
+
+def path_major(noise):
+    """The same ensemble with both arrays copied path-major (C order)."""
+    return NoiseEnsemble(
+        seed=noise.seed, eta=np.ascontiguousarray(noise.eta), xi=np.ascontiguousarray(noise.xi)
+    )
+
+
+def criterion_09_chain(config, sys, noise):
+    """The duality chain of criterion 09, its rule predicting at each call."""
+    adjoint = solve_adjoint(config, truncation=config.horizon)
+    coeffs = coefficient_set(config)
+    rule = control_rule(config, sys, adjoint)
+    state = simulate_state(coeffs, ControlProcess(rule=rule), noise, config.x0)
+    terminal_v = rule(config.horizon, state.values[:, -1], noise.xi)
+    controls = np.hstack([state.controls, terminal_v[:, None]])
+    bracket = bracket_values(
+        coeffs, cost_driver(config), state, adjoint.solution, adjoint.k, sys, controls=controls
+    )
+    chi = consumption_indicator(config, config.horizon)
+    caps = np.maximum(state.values * (1 - config.c * chi), 0.0)
+    directions = 0.3 * caps - controls
+    variation = simulate_variation(coeffs, state, directions[:, :-1])
+    f_u = config.beta_exp * config.risk_weight * controls ** (config.beta_exp - 1)
+    variational = solve_variational(
+        -config.wealth_weight * chi, 0.5 * config.lam, 0.0, f_u, variation, directions,
+        config.horizon, config.lam, config.gamma_exp, backend="regression", window=5, degree=2,
+    )
+    return rule, adjoint, state, controls, duality_gap(bracket, directions, variational)
+
+
+class TestNoiseLayout:
+    """Sampled noise is step-major; an ensemble built path-major by hand must
+    give the same run."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            small_config(paths=3001),
+            InvestConfig(hurst=0.25, paths=100, horizon=300, seed=3),
+            InvestConfig(horizon=50, paths=10**4, hurst=0.75, seed=8),
+        ],
+        ids=["small", "deep-like", "criterion-08"],
+    )
+    def test_path_major_noise_gives_the_same_run(self, monkeypatch, config):
+        want = run_experiment(config)
+        assert want.state.noise.xi.flags.f_contiguous
+
+        def path_major_sampling(*args, **kwargs):
+            return path_major(sample_ensemble(*args, **kwargs))
+
+        monkeypatch.setattr(invest_module, "sample_ensemble", path_major_sampling)
+        got = run_experiment(config)
+        assert got.state.noise.xi.flags.c_contiguous
+        assert np.array_equal(got.state.noise.xi, want.state.noise.xi)
+        assert np.array_equal(got.state.values, want.state.values)
+        assert np.array_equal(got.controls, want.controls)
+        assert np.array_equal(got.bracket, want.bracket)
+        assert got.check == want.check
+        assert got.clamp_stats == want.clamp_stats
+
+    def test_per_call_rule_moves_within_the_prediction_bound(self):
+        # Through the per-call rule the predictions come from predict_next on
+        # prefixes of xi, which sum in an order set by the prefix layout.  At
+        # beta_exp 2 the control is 1-Lipschitz in its free part
+        # sigma p_n pred / (2 R k_n), so predict_next's bound of 1e-14 of the
+        # summed magnitudes carries over.  Observed over the whole chain at
+        # 1e5 paths x 24 steps: controls within 1.8e-15 (largest |v| 10.7),
+        # states within 3.8e-14 relative, lhs and rhs unchanged.
+        config = InvestConfig(
+            consumption_times=(2, 4, 6, 8, 10, 12), horizon=12, paths=10**4, lam=0.5,
+            gamma_exp=1.2, hurst=0.75, seed=9,
+        )
+        sys = build_innovation_system(config.hurst, config.horizon + 1)
+        noise = sample_ensemble(sys, config.seed, config.paths, n_steps=config.horizon)
+        rule, adjoint, state, controls, report = criterion_09_chain(config, sys, noise)
+        *_, state_c, controls_c, report_c = criterion_09_chain(config, sys, path_major(noise))
+
+        xi = noise.xi
+        for n in range(1, config.horizon + 1):
+            x = state.values[:, n]
+            moved = rule(n, x, xi[:, :n]) - rule(n, x, np.ascontiguousarray(xi[:, :n]))
+            slope = abs(config.sigma * adjoint.p[n] / (2 * config.risk_weight * adjoint.k[n]))
+            magnitude = np.abs(xi[:, :n]) @ np.abs(sys.gamma[n, :n])
+            assert np.all(np.abs(moved) <= 1e-14 * slope * magnitude), f"step {n}"
+
+        assert_allclose(controls, controls_c, rtol=0, atol=1e-13 * np.max(np.abs(controls_c)))
+        assert_allclose(state.values, state_c.values, rtol=1e-12)
+        for side in ("lhs", "rhs"):
+            assert_allclose(report[side], report_c[side], rtol=1e-12)
