@@ -67,9 +67,10 @@ class DriverSpec:
     """Driver of a backward equation.
 
     ``f(n, x, y, z, u)`` is the generator; the optional ``g(n, x, y, z, u)``
-    multiplies the predicted next increment.  ``f1(n, y)`` and ``g1(n, y)``
-    are the reduced terminal drivers; when absent the terminal step evaluates
-    f (and g) at z = 0, which is recorded in the solution diagnostics.
+    multiplies the predicted next increment.  ``f1(n, y)`` is the reduced
+    terminal driver; without it the terminal step evaluates f at z = 0.  g is
+    always evaluated at z = 0 there.  The solution diagnostics record both
+    defaults.
     Along a state ensemble x, y, z and u are per-path arrays; a solve with
     no state calls f and f1 with Python floats (x = z = 0, u NaN past the
     controls) and needs a float back.  The optional control partial f_u
@@ -82,7 +83,6 @@ class DriverSpec:
     f: Callable
     g: Optional[Callable] = None
     f1: Optional[Callable] = None
-    g1: Optional[Callable] = None
     f_u: Optional[Callable] = None
 
 
@@ -297,7 +297,7 @@ def solve_truncated(
         control_values = np.asarray(control_values, dtype=float)
 
     predictions = None
-    if driver.g is not None or driver.g1 is not None:
+    if driver.g is not None:
         if sys is None:
             raise ContractError("a g-term needs the innovation system for predictions")
         if sys.horizon < n_trunc + 1:
@@ -311,7 +311,7 @@ def solve_truncated(
 
     diagnostics = {
         "used_default_terminal": driver.f1 is None,
-        "used_default_terminal_noise": driver.g is not None and driver.g1 is None,
+        "used_default_terminal_noise": driver.g is not None,
         "window": window,
         "degree": degree,
     }
@@ -340,10 +340,7 @@ def solve_truncated(
             f_val = driver.f1(m, y_m)
         else:
             f_val = driver.f(m, x_m, y_m, z_m, u_m)
-        if terminal and driver.g1 is not None:
-            g_val = driver.g1(m, y_m)
-        else:
-            g_val = None if driver.g is None else driver.g(m, x_m, y_m, z_m, u_m)
+        g_val = None if driver.g is None else driver.g(m, x_m, y_m, z_m, u_m)
         target = ratios[n] * (y_m + f_val)
         if g_val is not None:
             target = target + ratios[n] * np.broadcast_to(g_val, (n_paths,)) * predictions[:, m]

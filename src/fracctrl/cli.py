@@ -13,8 +13,9 @@ config keys) and on failed file reads or writes, each under its own label.
 Commands that write files also drop a JSON snapshot of the resolved
 configuration next to the outputs, so a run can be reproduced from its
 artifacts alone.  smp-check and invest gate on the exact box certificate of
-the first-order inequality; --trials N adds a seeded random-trial witness
-that never changes the verdict.
+the first-order inequality.  smp-check's --trials N adds to its report a
+seeded witness of N random admissible controls, which never changes the
+verdict; invest reports no witness, so it has no --trials.
 """
 
 from __future__ import annotations
@@ -243,7 +244,7 @@ def cmd_smp_check(args) -> int:
 def cmd_invest(args) -> int:
     config = _invest_config(args)
     out = _out_dir(args)
-    result = run_experiment(config, out_dir=out, n_trials=args.trials, tolerance=args.tolerance)
+    result = run_experiment(config, out_dir=out, tolerance=args.tolerance)
     terminal = result.state.values[:, -1]
     print(f"investment run, H={config.hurst}, horizon={config.horizon}, paths={config.paths}")
     print(f"terminal wealth mean    = {terminal.mean():.6g}, std = {terminal.std():.6g}")
@@ -266,7 +267,6 @@ def _add_invest_flags(sub) -> None:
     sub.add_argument("--seed", type=int, default=None, help="base seed override")
     sub.add_argument("--lambda", dest="lambda_", type=float, default=None, help="discount rate override")
     sub.add_argument("--gamma-exp", dest="gamma_exp", type=float, default=None, help="discount exponent override")
-    sub.add_argument("--trials", type=int, default=0, help="random admissible controls drawn as a witness")
     sub.add_argument("--tolerance", type=float, default=1e-8, help="bracket product tolerance")
     sub.add_argument("--out", type=_directory, default=None, help="output directory")
 
@@ -297,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     smp = subs.add_parser("smp-check", help="first-order optimality report for the investment rule")
     _add_invest_flags(smp)
+    smp.add_argument("--trials", type=int, default=0, help="random admissible controls drawn as a witness")
     smp.set_defaults(func=cmd_smp_check)
 
     inv = subs.add_parser("invest", help="run the investment experiment")

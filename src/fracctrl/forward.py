@@ -124,10 +124,12 @@ class StatePath:
 
 
 def _initial_states(x0, n_paths: int) -> np.ndarray:
-    if callable(x0):
-        x = np.asarray(x0(n_paths), dtype=float)
-    else:
+    try:
         x = np.asarray(x0, dtype=float)
+    except (TypeError, ValueError):
+        raise ContractError(f"x0 must be a scalar or an array, got {type(x0).__name__}") from None
+    if not np.isfinite(x).all():
+        raise ContractError(f"x0 must be finite, got {x0!r}")
     if x.ndim == 0:
         return np.full(n_paths, float(x))
     if x.shape != (n_paths,):
@@ -140,8 +142,9 @@ def simulate_state(
 ) -> StatePath:
     """Run the state recursion over the ensemble; exact, no discretization.
 
-    Raises NumericalError naming the first offending path and step if the
-    recursion produces a non-finite value.
+    ``x0`` is the finite initial state: a scalar shared by every path, or an
+    array of shape (n_paths,).  Raises NumericalError naming the first offending
+    path and step if the recursion produces a non-finite value.
     """
     xi = noise.xi
     n_paths, n_steps = xi.shape

@@ -50,12 +50,10 @@ from .errors import ContractError, NumericalError, require
 
 __all__ = [
     "InnovationSystem",
-    "NoisePath",
     "NoiseEnsemble",
     "fgn_autocovariance",
     "autocovariance_matrix",
     "build_innovation_system",
-    "sample_path",
     "sample_ensemble",
     "predict_next",
     "prediction_matrix",
@@ -175,15 +173,6 @@ def build_innovation_system(h: float, horizon: int) -> InnovationSystem:
 
 
 @dataclass(frozen=True)
-class NoisePath:
-    """One fGn trajectory with the innovations that generated it."""
-
-    seed: int
-    eta: np.ndarray
-    xi: np.ndarray
-
-
-@dataclass(frozen=True)
 class NoiseEnsemble:
     """A batch of fGn trajectories: ``xi`` and ``eta`` have shape
     (n_paths, n_steps), row i being path i.
@@ -202,17 +191,6 @@ class NoiseEnsemble:
     def n_paths(self) -> int:
         return self.xi.shape[0]
 
-    def path(self, i: int) -> NoisePath:
-        return NoisePath(seed=self.seed, eta=self.eta[i].copy(), xi=self.xi[i].copy())
-
-
-def sample_path(system: InnovationSystem, seed: int) -> NoisePath:
-    """Draw one trajectory xi = beta @ eta; bit-identical for equal seeds."""
-    require("seed", seed, int)
-    rng = np.random.default_rng(seed)
-    eta = rng.standard_normal(system.horizon)
-    return NoisePath(seed=int(seed), eta=eta, xi=system.beta @ eta)
-
 
 # Entries of the product per block of paths in sample_ensemble's transposing
 # copy: 256 KB, which stays in cache.
@@ -228,7 +206,8 @@ def sample_ensemble(
     truncating to n_steps < horizon samples from exactly the same law as the
     full system restricted to those steps.  ``xi`` equals
     ``eta @ beta[:n_steps, :n_steps].T`` bit for bit and is the transpose of
-    a step-major buffer: ``xi[:, n]`` is contiguous.
+    a step-major buffer: ``xi[:, n]`` is contiguous.  One path is
+    ``sample_ensemble(system, seed, 1)``.
     """
     require("seed", seed, int)
     require("n_paths", n_paths, int)

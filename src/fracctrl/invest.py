@@ -34,7 +34,7 @@ writes byte-deterministic CSV/JSON outputs plus a standalone plot script.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -330,7 +330,11 @@ def control_rule(
 
 @dataclass(frozen=True)
 class InvestResult:
-    """One full experiment: paths, controls, first-order checks, outputs."""
+    """One full experiment: paths, controls, first-order checks, outputs.
+
+    ``controls`` is one step-major (Fortran-order) array; ``state.controls``
+    is a view of its first ``horizon`` columns, not a second copy.
+    """
 
     config: InvestConfig
     system: InnovationSystem
@@ -461,6 +465,8 @@ def run_experiment(
     # later step: free it before the bracket allocates its blocks.
     del rule
     controls = np.hstack([state.controls, np.asarray(terminal_v)[:, None]])
+    # One controls array: the simulator's buffer is freed before the bracket.
+    state = replace(state, controls=controls[:, :-1])
 
     bracket = bracket_values(
         coeffs,

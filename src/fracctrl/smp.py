@@ -21,9 +21,9 @@ with the opposite sign,
 
     H = b p + sigma p E[xi | F] + beta(n,n) sigma q + f k,
 
-so H_u and the bracket differ by 2 f_u k; both are provided because each is
-the quantity its respective check reports on, and the sign difference is
-deliberate, not a bug.
+so H_u and the bracket differ by 2 f_u k.  Every check here reads the
+bracket; hamiltonian_u states the same condition through the Hamiltonian,
+and the sign difference is deliberate, not a bug.
 
 The duality identity ties the bracket to the first variation of the cost:
 with (p, q) and the variational pair (Yhat, Zhat) solved at the same
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backward import BsdeSolution, DriverSpec, _control_at, solve_truncated
+from .backward import BsdeSolution, DriverSpec, solve_truncated
 from .errors import ContractError, require
 from .forward import CoefficientSet, StatePath
 from .fracnoise import InnovationSystem, prediction_matrix
@@ -402,19 +402,24 @@ def solve_variational(
 
     ``variation`` is the first-variation state from simulate_variation (its
     noise ensemble supplies the regression features), ``directions`` the
-    deviation v with step N included (the terminal cost term reads v_N).
-    The per-step cost partials are scalars or tables evaluated along the
-    base pair; the generator is f_x Xhat + f_y Yhat + f_z Zhat + f_u v.
+    deviation v, shape (steps,) or (n_paths, steps), with step N included
+    (the terminal cost term reads v_N).  The per-step cost partials are
+    scalars or tables evaluated along the base pair; the generator is
+    f_x Xhat + f_y Yhat + f_z Zhat + f_u v.
     """
     require("truncation", truncation, int)
+    n_steps = int(truncation) + 1
     xhat = variation.values
     v = np.asarray(directions, dtype=float)
-    n_paths = variation.n_paths
-    fx, fy, fz, fu = (_per_step(t, int(truncation) + 1) for t in (f_x, f_y, f_z, f_u))
+    if v.ndim not in (1, 2) or v.ndim == 2 and v.shape[0] not in (1, variation.n_paths):
+        raise ContractError(f"directions must be (steps,) or ({variation.n_paths}, steps), got {v.shape}")
+    if v.shape[-1] < n_steps:
+        short = n_steps - v.shape[-1]
+        raise ContractError(f"directions cover {v.shape[-1]} steps, {short} short of the {n_steps} read")
+    fx, fy, fz, fu, v = (_per_step(t, n_steps) for t in (f_x, f_y, f_z, f_u, v))
 
     def f(m, x, y, z, u):
-        v_m = _control_at(v, m, n_paths)
-        return fx[m] * xhat[:, m] + fy[m] * y + fz[m] * z + fu[m] * v_m
+        return fx[m] * xhat[:, m] + fy[m] * y + fz[m] * z + fu[m] * v[m]
 
     return solve_truncated(
         DriverSpec(f=f), variation, None, truncation, lam, gamma_exp,
@@ -426,7 +431,8 @@ def duality_gap(bracket, directions, variational: BsdeSolution) -> dict:
     """Compare E sum_n e^{-lam n^gamma} bracket_n v_n against Yhat_0.
 
     ``bracket`` and ``directions`` cover n = 0..truncation (the bracket from
-    bracket_values already carries the degenerate terminal column).
+    bracket_values already carries the degenerate terminal column); the
+    directions have shape (steps,) or one row per bracket row.
     """
     bracket = np.atleast_2d(np.asarray(bracket, dtype=float))
     v = np.asarray(directions, dtype=float)
@@ -436,6 +442,8 @@ def duality_gap(bracket, directions, variational: BsdeSolution) -> dict:
             f"bracket covers {n_cols} steps but the variational solve has "
             f"truncation {variational.truncation}"
         )
+    if v.ndim not in (1, 2) or v.shape[-1] != n_cols or v.ndim == 2 and v.shape[0] not in (1, len(bracket)):
+        raise ContractError(f"directions of shape {v.shape} do not match the bracket's {bracket.shape}")
     grid = np.arange(n_cols, dtype=float)
     weights = np.exp(-variational.lam * grid**variational.gamma_exp)
     lhs = float(np.mean(np.sum(weights * bracket * v, axis=-1)))

@@ -150,10 +150,14 @@ class TestSmpCheck:
         assert "box certificate         = 0 violations, min product = " in out
         assert "trial witness" not in out, "trials are off by default"
 
+    def test_trials_add_the_witness_line(self, capsys):
+        assert main(["smp-check", "--N", "8", "--paths", "16", "--trials", "3"]) == 0
+        assert "trial witness           = 3 trials, min product = " in capsys.readouterr().out
+
 
 class TestInvest:
     def test_runs_are_byte_identical(self, tmp_path):
-        argv = ["invest", "--N", "10", "--paths", "16", "--seed", "5", "--trials", "3", "--out"]
+        argv = ["invest", "--N", "10", "--paths", "16", "--seed", "5", "--out"]
         assert main(argv + [str(tmp_path / "a")]) == 0
         assert main(argv + [str(tmp_path / "b")]) == 0
         for name in ("wealth.csv", "adjoint.csv", "config.resolved.json", "plot_wealth.py"):
@@ -161,12 +165,17 @@ class TestInvest:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
 
+    def test_trials_is_not_an_invest_flag(self, capsys):
+        """invest reports no witness, so it takes no --trials."""
+        assert _exit_code(["invest", "--N", "4", "--paths", "4", "--trials", "1"]) == 2
+        assert "unrecognized arguments: --trials 1" in capsys.readouterr().err
+
     def test_config_file_with_flag_overrides(self, tmp_path):
         cfg_file = tmp_path / "config.json"
         cfg_file.write_text(json.dumps({"horizon": 8, "paths": 16, "consumption_period": 3}))
         out = tmp_path / "run"
         code = main(
-            ["invest", "--config", str(cfg_file), "--paths", "32", "--trials", "2", "--out", str(out)]
+            ["invest", "--config", str(cfg_file), "--paths", "32", "--out", str(out)]
         )
         assert code == 0
         snap = json.loads((out / "config.resolved.json").read_text())
@@ -226,7 +235,7 @@ class TestInvest:
         assert "lam must be a finite number" in capsys.readouterr().err
 
     def test_summary_lines(self, capsys):
-        code = main(["invest", "--N", "8", "--paths", "8", "--trials", "2"])
+        code = main(["invest", "--N", "8", "--paths", "8"])
         assert code == 0
         out = capsys.readouterr().out
         assert "terminal wealth mean" in out
@@ -288,6 +297,7 @@ BAD_FLAGS = {
     "--config": st.just(""),
     "--out": st.just(""),
 }
+INVEST_FLAGS = {flag: value for flag, value in BAD_FLAGS.items() if flag != "--trials"}
 NOISE_CHECK_FLAGS = {flag: BAD_FLAGS[flag] for flag in ("--H", "--N", "--tolerance", "--out")}
 NOT_ABOVE_ONE = st.floats(max_value=1.0).map(repr)
 BSDE_CONVERGE_FLAGS = {
@@ -301,7 +311,7 @@ BSDE_CONVERGE_FLAGS = {
 }
 # Each command's small valid run, which the bad values override, and its flags.
 FUZZED_COMMANDS = {
-    "invest": (["--paths", "3", "--N", "2"], BAD_FLAGS),
+    "invest": (["--paths", "3", "--N", "2"], INVEST_FLAGS),
     "smp-check": (["--paths", "3", "--N", "2"], BAD_FLAGS),
     "noise-check": (["--N", "2"], NOISE_CHECK_FLAGS),
     "bsde-converge": (["--N-list", "2,4"], BSDE_CONVERGE_FLAGS),

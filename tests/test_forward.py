@@ -224,10 +224,18 @@ class TestSimulateState:
         arr = np.linspace(0, 1, 64)
         path = fw.simulate_state(coeffs, u, noise16, arr)
         np.testing.assert_array_equal(path.values[:, 0], arr)
-        path = fw.simulate_state(coeffs, u, noise16, lambda m: np.full(m, 2.0))
-        np.testing.assert_array_equal(path.values[:, 0], np.full(64, 2.0))
         with pytest.raises(ContractError):
             fw.simulate_state(coeffs, u, noise16, np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "x0, needle",
+        [(lambda m: np.full(m, 2.0), "a scalar or an array"), ("abc", "a scalar or an array"),
+         ([1.0, "x"], "a scalar or an array"), (None, "finite"), (np.nan, "finite"), (-np.inf, "finite")],
+    )
+    def test_x0_that_is_not_finite_numbers_is_a_contract_error(self, noise16, x0, needle):
+        u = fw.ControlProcess(values=np.zeros(16))
+        with pytest.raises(ContractError, match=f"x0 must be {needle}"):
+            fw.simulate_state(constant_coeffs(), u, noise16, x0)
 
 
 class TestVariation:

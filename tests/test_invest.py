@@ -319,6 +319,19 @@ class TestRunExperiment:
         ]
         assert_allclose(sum(fractions), 1.0, rtol=1e-15)
 
+    def test_state_controls_are_a_view_of_the_one_controls_array(self):
+        cfg = small_config()
+        result = run_experiment(cfg)
+        assert result.controls.flags.f_contiguous
+        assert np.shares_memory(result.state.controls, result.controls)
+        sys = build_innovation_system(cfg.hurst, cfg.horizon + 1)
+        noise = sample_ensemble(sys, cfg.seed, cfg.paths, n_steps=cfg.horizon)
+        pred = prediction_matrix(sys, noise.xi, cfg.horizon)
+        rule = control_rule(cfg, sys, solve_adjoint(cfg), pred)
+        state = simulate_state(coefficient_set(cfg), ControlProcess(rule=rule), noise, cfg.x0)
+        assert np.array_equal(result.state.controls, state.controls)
+        assert np.array_equal(result.state.values, state.values)
+
     def test_step_zero_goes_all_in(self):
         # k_0 = 0 and p_0 < 0 make step 0 bang-bang at the cap, which is x0.
         cfg = small_config()

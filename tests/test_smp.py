@@ -751,6 +751,42 @@ class TestVariationalDuality:
         short = float(np.mean(np.sum((weights * bracket * v)[:, :-1], axis=1)))
         assert abs(short - report["rhs"]) == pytest.approx(DUAL_RANGE_GAP, rel=1e-6)
 
+    @pytest.mark.parametrize("backend", ["exact", "regression"])
+    def test_directions_one_step_short_are_a_contract_error(self, backend):
+        sys, coeffs, state, v = self._deterministic_setup()
+        variation = simulate_variation(coeffs, state, v)
+        for short in (v, np.tile(v, (state.n_paths, 1))):
+            with pytest.raises(ContractError, match="directions cover 6 steps, 1 short of the 7"):
+                solve_variational(
+                    0.3, 0.4, 0.0, 0.7, variation, short, 6, self.lam, self.gamma_exp,
+                    backend=backend,
+                )
+
+    def test_directions_for_other_paths_are_a_contract_error(self):
+        sys, coeffs, state, v = self._deterministic_setup()
+        variation = simulate_variation(coeffs, state, v)
+        for bad in (np.tile(v, (3, 1)), v[None, None, :]):
+            with pytest.raises(ContractError, match=r"directions must be \(steps,\) or \(16, steps\)"):
+                solve_variational(
+                    0.3, 0.4, 0.0, 0.7, variation, bad, self.n_trunc, self.lam, self.gamma_exp,
+                    backend="exact",
+                )
+
+    def test_duality_gap_refuses_directions_that_miss_the_bracket(self):
+        sys, coeffs, state, v = self._deterministic_setup()
+        k = solve_adjoint_k(0.4, 0.0, self.n_trunc)
+        adjoint = solve_adjoint_pq(0.1, 0.0, 0.3, k, self.n_trunc, self.lam, self.gamma_exp)
+        variational = solve_variational(
+            0.3, 0.4, 0.0, 0.7, simulate_variation(coeffs, state, v), v, self.n_trunc,
+            self.lam, self.gamma_exp, backend="exact",
+        )
+        bracket = bracket_values(coeffs, linear_cost(), state, adjoint, k, sys)
+        for bad in (v[:-1], np.tile(v[:-1], (16, 1)), np.tile(v, (3, 1)), np.append(v, 1.0)):
+            with pytest.raises(ContractError, match=rf"directions of shape \({bad.shape[0]},"):
+                duality_gap(bracket, bad, variational)
+        per_path = duality_gap(bracket, np.tile(v, (16, 1)), variational)
+        assert per_path == duality_gap(bracket, v, variational)
+
     def test_regression_backend_reproduces_the_deterministic_answer(self):
         sys, coeffs, state, v = self._deterministic_setup()
         variation = simulate_variation(coeffs, state, v)
