@@ -6,7 +6,7 @@ fracnoise   fGn covariance, innovation representation, prediction, sampling
 spaces      discount weights, exponent ladders, truncated weighted norms
 forward     controlled state recursions and their first variations
 backward    truncated backward equations (exact and regression backends)
-smp         adjoint processes, Hamiltonian, optimality checks
+smp         adjoint processes, necessary-condition bracket, optimality checks
 invest      the investment/consumption application wired end to end
 cli         command-line entry points
 """

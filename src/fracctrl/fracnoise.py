@@ -192,9 +192,26 @@ class NoiseEnsemble:
         return self.xi.shape[0]
 
 
-# Entries of the product per block of paths in sample_ensemble's transposing
+# Entries of the product per block of paths in _step_major's transposing
 # copy: 256 KB, which stays in cache.
 _COPY_BLOCK_ENTRIES = 1 << 15
+
+
+def _step_major(product: np.ndarray) -> np.ndarray:
+    """``product`` (paths, steps) as the transpose of a step-major copy.
+
+    Every reader steps through time, so the noise and its predictions are
+    kept step-major: column n of the result is contiguous.  The copy is
+    exact; computing a product step-major instead (beta @ eta.T, or over
+    blocks of paths) rounds differently.  Blocks of paths keep the
+    transposing copy in cache.
+    """
+    n_paths, n_steps = product.shape
+    by_step = np.empty((n_steps, n_paths))
+    block = max(1, _COPY_BLOCK_ENTRIES // n_steps)
+    for start in range(0, n_paths, block):
+        by_step[:, start : start + block] = product[start : start + block].T
+    return by_step.T
 
 
 def sample_ensemble(
@@ -222,16 +239,8 @@ def sample_ensemble(
         )
     rng = np.random.default_rng(seed)
     eta = rng.standard_normal((n_paths, n_steps))
-    product = eta @ system.beta[:n_steps, :n_steps].T
-    # Every reader steps through time, so xi is kept step-major.  The copy is
-    # exact; computing the product step-major instead (beta @ eta.T, or over
-    # blocks of paths) rounds differently.  Blocks of paths keep the
-    # transposing copy in cache.
-    by_step = np.empty((n_steps, n_paths))
-    block = max(1, _COPY_BLOCK_ENTRIES // n_steps)
-    for start in range(0, n_paths, block):
-        by_step[:, start : start + block] = product[start : start + block].T
-    return NoiseEnsemble(seed=int(seed), eta=eta, xi=by_step.T)
+    xi = _step_major(eta @ system.beta[:n_steps, :n_steps].T)
+    return NoiseEnsemble(seed=int(seed), eta=eta, xi=xi)
 
 
 def predict_next(system: InnovationSystem, prefix) -> float | np.ndarray:
@@ -263,10 +272,16 @@ def prediction_matrix(system: InnovationSystem, xi, n_max: int) -> np.ndarray:
     """Stack predict_next over all prefix lengths n = 0, ..., n_max.
 
     Column n of the result is E[xi_n | xi_0, ..., xi_{n-1}] for each path in
-    ``xi`` (shape (M, >= n_max)); column 0 is the unconditional mean 0.
+    ``xi`` (shape (M, >= n_max)); column 0 is the unconditional mean 0.  The
+    values are those of the path-major product ``xi[:, :n_max] @
+    gamma[:n_max + 1, :n_max].T`` bit for bit, stored as the transpose of a
+    step-major (n_max + 1, M) buffer: column n is contiguous, and a window of
+    columns is Fortran-contiguous.
     """
     require("n_max", n_max, int)
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    if n_max < 0:
+        raise ContractError(f"n_max must be >= 0, got {n_max}")
     if n_max > system.horizon - 1:
         raise ContractError(
             f"prefix of length {n_max} needs prediction row {n_max}; system "
@@ -276,7 +291,7 @@ def prediction_matrix(system: InnovationSystem, xi, n_max: int) -> np.ndarray:
         raise ContractError(f"need {n_max} increments per path, got {xi.shape[1]}")
     # gamma is strictly lower triangular, so the terms past each prefix are
     # exact zeros and one product gives every column.
-    return xi[:, :n_max] @ system.gamma[: n_max + 1, :n_max].T
+    return _step_major(xi[:, :n_max] @ system.gamma[: n_max + 1, :n_max].T)
 
 
 def whiten(system: InnovationSystem, xi: np.ndarray) -> np.ndarray:

@@ -51,7 +51,13 @@ from .fracnoise import (
     prediction_matrix,
     sample_ensemble,
 )
-from .smp import bracket_values, check_necessary_condition, solve_adjoint_k, solve_adjoint_pq
+from .smp import (
+    _step_blocks,
+    bracket_values,
+    check_necessary_condition,
+    solve_adjoint_k,
+    solve_adjoint_pq,
+)
 
 __all__ = [
     "InvestConfig",
@@ -332,8 +338,9 @@ def control_rule(
 class InvestResult:
     """One full experiment: paths, controls, first-order checks, outputs.
 
-    ``controls`` is one step-major (Fortran-order) array; ``state.controls``
-    is a view of its first ``horizon`` columns, not a second copy.
+    ``controls`` and ``bracket`` are step-major (Fortran-order) arrays, as
+    ``state.values`` is; ``state.controls`` is a view of the first
+    ``horizon`` columns of ``controls``, not a second copy.
     """
 
     config: InvestConfig
@@ -351,19 +358,24 @@ def _clamp_stats(controls: np.ndarray, caps: np.ndarray) -> dict:
     """Fractions of (path, step) entries at each clamp, plus the invariant.
 
     The rule writes the clamps by np.minimum/np.maximum, so equality tests
-    are exact: v == 0 at the floor, v == cap at the ceiling.
+    are exact: v == 0 at the floor, v == cap at the ceiling.  Both grids are
+    step-major, and they are walked in blocks of steps.
     """
-    at_floor = controls == 0.0
-    at_cap = (controls == caps) & ~at_floor
+    floor = cap = 0
+    over = under = 0.0
+    for cols in _step_blocks(*controls.shape):
+        v, c = controls[:, cols], caps[:, cols]
+        at_floor = v == 0.0
+        floor += np.count_nonzero(at_floor)
+        cap += np.count_nonzero((v == c) & ~at_floor)
+        over = np.max(v - c, initial=over)
+        under = np.max(-v, initial=under)
     total = controls.size
-    violation = max(
-        float(np.max(controls - caps, initial=0.0)), float(np.max(-controls, initial=0.0))
-    )
     return {
-        "floor_fraction": float(np.count_nonzero(at_floor)) / total,
-        "cap_fraction": float(np.count_nonzero(at_cap)) / total,
-        "interior_fraction": float(np.count_nonzero(~at_floor & ~at_cap)) / total,
-        "max_bound_violation": violation,
+        "floor_fraction": floor / total,
+        "cap_fraction": cap / total,
+        "interior_fraction": (total - floor - cap) / total,
+        "max_bound_violation": max(float(over), float(under)),
     }
 
 
@@ -479,11 +491,11 @@ def run_experiment(
         truncation=config.horizon,
         predictions=pred,
     )
-    # Free the predictions before the certificate allocates its own
-    # (n_paths, horizon + 1) arrays, which set the peak memory.
+    # Free the predictions before the caps, the last full grid, are made.
     del pred
     chi = consumption_indicator(config, config.horizon)
-    caps = np.maximum(state.values * (1 - config.c * chi[None, :]), 0.0)
+    caps = state.values * (1 - config.c * chi)
+    np.maximum(caps, 0.0, out=caps)
     check = check_necessary_condition(
         bracket, controls, 0.0, caps, n_trials=n_trials, seed=config.seed, tolerance=tolerance
     )

@@ -1,4 +1,4 @@
-"""Adjoint processes, Hamiltonian, and first-order optimality checks.
+"""Adjoint processes and first-order optimality checks.
 
 Along a candidate optimal pair (X*, u*) three adjoint objects are built:
 
@@ -21,9 +21,8 @@ with the opposite sign,
 
     H = b p + sigma p E[xi | F] + beta(n,n) sigma q + f k,
 
-so H_u and the bracket differ by 2 f_u k.  Every check here reads the
-bracket; hamiltonian_u states the same condition through the Hamiltonian,
-and the sign difference is deliberate, not a bug.
+so H_u = bracket + 2 f_u k.  Every check here reads the bracket; the sign
+difference is deliberate, not a bug.
 
 The duality identity ties the bracket to the first variation of the cost:
 with (p, q) and the variational pair (Yhat, Zhat) solved at the same
@@ -50,8 +49,6 @@ from .fracnoise import InnovationSystem, prediction_matrix
 __all__ = [
     "solve_adjoint_k",
     "solve_adjoint_pq",
-    "hamiltonian",
-    "hamiltonian_u",
     "necessary_bracket",
     "bracket_values",
     "check_necessary_condition",
@@ -61,9 +58,10 @@ __all__ = [
 ]
 
 
-# Entries of the (paths, steps) grid per bracket block: each temporary of one
-# necessary_bracket call stays about 128 KB, so the blocks add little to the
-# peak memory of a run.
+# Entries of the (paths, steps) grid per block of steps in the bracket, the
+# certificate and the clamp statistics: each temporary stays about 128 KB
+# (or one step over all paths, if that is more), so the blocks add little to
+# the peak memory of a run.
 _BLOCK_ENTRIES = 1 << 14
 
 
@@ -166,20 +164,6 @@ def _per_step(table, n_steps: int) -> list:
     return steps.tolist() if table.ndim == 1 else list(steps)
 
 
-def hamiltonian(coeffs: CoefficientSet, cost: DriverSpec, n, x, y, z, u, p, q, k, pred, beta_nn):
-    """H = b p + sigma p pred + beta(n,n) sigma q + f k at one step."""
-    sig = coeffs.sigma(n, x, u)
-    return coeffs.b(n, x, u) * p + sig * p * pred + beta_nn * sig * q + cost.f(n, x, y, z, u) * k
-
-
-def hamiltonian_u(coeffs: CoefficientSet, cost: DriverSpec, n, x, y, z, u, p, q, k, pred, beta_nn):
-    """Control derivative of the Hamiltonian (cost term with plus sign)."""
-    if cost.f_u is None:
-        raise ContractError("hamiltonian_u needs the declared cost partial f_u")
-    sig_u = coeffs.sigma_u(n, x, u)
-    return coeffs.b_u(n, x, u) * p + sig_u * (p * pred + beta_nn * q) + cost.f_u(n, x, y, z, u) * k
-
-
 def necessary_bracket(coeffs: CoefficientSet, cost: DriverSpec, n, x, y, z, u, p, q, k, pred, beta_nn):
     """First-order coefficient of the optimality inequality (cost term minus).
 
@@ -219,11 +203,15 @@ def bracket_values(
     when the caller already has it; otherwise it is computed here.
 
     The bracket is pointwise in (path, step), so necessary_bracket is called
-    once per block of paths over all steps, with n the array of step indices;
-    every temporary is one block in size.
+    once per block of steps over all paths, with n the array of the block's
+    step indices; every temporary is one block in size.  The result is the
+    transpose of a step-major (n_cols, n_paths) buffer, like the state and
+    the predictions: a window of steps is Fortran-contiguous.
     """
     n_trunc = adjoint.truncation if truncation is None else truncation
     require("truncation", n_trunc, int)
+    if n_trunc < 0:
+        raise ContractError(f"truncation must be >= 0, got {n_trunc}")
     if n_trunc > adjoint.truncation:
         raise ContractError(
             f"bracket through step {n_trunc} needs an adjoint solved at least "
@@ -252,26 +240,32 @@ def bracket_values(
             )
     steps = np.arange(n_cols)
     beta_diag = np.diag(sys.beta)[:n_cols]
-    out = np.empty((n_paths, n_cols))
-    block = max(1, _BLOCK_ENTRIES // n_cols)
-    zeros = np.zeros((min(block, n_paths), n_cols))
-    for start in range(0, n_paths, block):
-        rows = slice(start, min(start + block, n_paths))
+    out = np.empty((n_cols, n_paths)).T
+    blocks = _step_blocks(n_paths, n_cols)
+    zeros = np.zeros((n_paths, blocks[0].stop), order="F")
+    for cols in blocks:
         if cost_solution is None:
-            y = z = zeros[: rows.stop - start]
+            y = z = zeros[:, : cols.stop - cols.start]
         else:
-            y, z = (_grid_block(t, rows, n_cols) for t in (cost_solution.y, cost_solution.z))
-        out[rows] = necessary_bracket(
-            coeffs, cost, steps, state.values[rows, :n_cols], y, z,
-            _grid_block(controls, rows, n_cols, fill=np.nan),
-            _grid_block(adjoint.y, rows, n_cols), _grid_block(adjoint.z, rows, n_cols),
-            _grid_block(k, rows, n_cols), pred[rows, :n_cols], beta_diag,
+            y, z = (_grid_block(t, cols) for t in (cost_solution.y, cost_solution.z))
+        out[:, cols] = necessary_bracket(
+            coeffs, cost, steps[cols], state.values[:, cols], y, z,
+            _grid_block(controls, cols, fill=np.nan),
+            _grid_block(adjoint.y, cols), _grid_block(adjoint.z, cols),
+            _grid_block(k, cols), pred[:, cols], beta_diag[cols],
         )
     return out
 
 
-def _grid_block(table, rows: slice, n_cols: int, fill: float = 0.0) -> np.ndarray:
-    """Steps 0..n_cols-1 of a per-step table on the paths ``rows``.
+def _step_blocks(n_paths: int, n_cols: int) -> list:
+    """Slices that cover steps 0..n_cols-1 of an (n_paths, n_cols) grid,
+    _BLOCK_ENTRIES // n_paths steps (at least one) to a block."""
+    block = max(1, _BLOCK_ENTRIES // n_paths)
+    return [slice(start, min(start + block, n_cols)) for start in range(0, n_cols, block)]
+
+
+def _grid_block(table, cols: slice, fill: float = 0.0) -> np.ndarray:
+    """Steps ``cols`` of a per-step table on every path.
 
     A scalar, a 1-D table or a one-row 2-D table is shared by every path.
     Past the table's last step the entries are ``fill``: NaN for a control
@@ -279,12 +273,12 @@ def _grid_block(table, rows: slice, n_cols: int, fill: float = 0.0) -> np.ndarra
     """
     if table.ndim == 0:
         return table
-    if table.ndim == 2 and table.shape[0] != 1:
-        table = table[rows]
-    if table.shape[-1] >= n_cols:
-        return table[..., :n_cols]
-    padded = np.full(table.shape[:-1] + (n_cols,), fill)
-    padded[..., : table.shape[-1]] = table
+    block = table[..., cols]
+    width = cols.stop - cols.start
+    if block.shape[-1] == width:
+        return block
+    padded = np.full(block.shape[:-1] + (width,), fill)
+    padded[..., : block.shape[-1]] = block
     return padded
 
 
@@ -308,26 +302,54 @@ def check_necessary_condition(
     under per-trial generators spawned from ``seed``.  No draw can go below
     the certificate, and the witness never gates ``passed``.  ``tolerance``
     is a finite number >= 0.
+
+    The corners are taken in blocks of steps (the last axis), as the
+    step-major grids of a run are stored, and no temporary is larger than a
+    block.  The report reads the grid in path-major (C) order whatever the
+    inputs' layouts: ``min_index`` is the first minimum as argmin takes it (a
+    NaN before any number), ``min_bracket_product`` the entry there (a zero
+    as +0.0, whatever sign its corner product has), and the violations are
+    the first ten.
     """
     b, us, lo, hi = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (bracket, u_star, lower, upper))
     )
-    if np.any(hi < lo):
-        raise ContractError("upper bound below lower bound somewhere in the admissible box")
     require("n_trials", n_trials, int)
     if n_trials < 0:
         raise ContractError(f"n_trials must be >= 0, got {n_trials}")
     require("tolerance", tolerance, float)
     if tolerance < 0:
         raise ContractError(f"tolerance must be >= 0, got {tolerance}")
-    worst = np.where(b > 0, lo, hi)
-    worst -= us
-    worst *= b
-    bad = np.flatnonzero(~(worst >= -tolerance))
+    shape = b.shape
+    if b.size == 0:
+        raise ContractError(f"the bracket grid is empty, shape {shape}")
+    # (rows, steps) views in C order: entry (i, j) has flat index i * n_cols + j.
+    n_cols = shape[-1] if shape else 1
+    grid = [a.reshape(-1, n_cols) for a in (b, us, lo, hi)]
+    n_bad, first_bad, minima = 0, np.empty(0, dtype=np.intp), []
+    for cols in _step_blocks(b.size // n_cols, n_cols):
+        bb, uu, ll, hh = (a[:, cols] for a in grid)
+        if np.any(hh < ll):
+            raise ContractError("upper bound below lower bound somewhere in the admissible box")
+        worst = np.where(bb > 0, ll, hh)
+        worst -= uu
+        worst *= bb
+        rows, steps = np.nonzero(~(worst >= -tolerance))  # in C order
+        n_bad += rows.size
+        flat = np.concatenate((first_bad, rows[:10] * n_cols + steps[:10] + cols.start))
+        first_bad = np.sort(flat)[:10]
+        row, col = divmod(int(np.argmin(worst)), worst.shape[1])
+        minima.append((worst[row, col], row * n_cols + cols.start + col))
+    # Each block's first minimum in C order; of those, argmin takes a NaN
+    # before any number, then the least value, then the earliest entry.
+    values, flats = (np.array(column) for column in zip(*minima))
+    least = values.min()
+    first_min = flats[np.isnan(values) if np.isnan(least) else values == least].min()
     violations = []
-    for flat in bad[:10]:
-        idx = np.unravel_index(flat, worst.shape)
-        record = {"value": float(worst[idx]), "u": float(lo[idx] if b[idx] > 0 else hi[idx])}
+    for flat in first_bad:
+        idx = np.unravel_index(flat, shape)
+        corner = lo[idx] if b[idx] > 0 else hi[idx]
+        record = {"value": float((corner - us[idx]) * b[idx]), "u": float(corner)}
         if len(idx) == 2:
             record["path"], record["step"] = int(idx[0]), int(idx[1])
         else:
@@ -338,7 +360,7 @@ def check_necessary_condition(
         span = hi - lo
         min_trial = np.inf
         for child in np.random.SeedSequence(seed).spawn(n_trials):
-            u = np.random.default_rng(child).uniform(size=worst.shape)
+            u = np.random.default_rng(child).uniform(size=shape)
             u *= span
             u += lo
             np.minimum(u, hi, out=u)  # rounding must not step outside the box
@@ -349,12 +371,12 @@ def check_necessary_condition(
     return {
         "trials": n_trials,
         "tolerance": tolerance,
-        "min_bracket_product": float(worst.min()),
-        "min_index": [int(i) for i in np.unravel_index(np.argmin(worst), worst.shape)],
+        "min_bracket_product": float(least) + 0.0,
+        "min_index": [int(i) for i in np.unravel_index(first_min, shape)],
         "min_trial_product": min_trial,
-        "n_violations": int(bad.size),
+        "n_violations": n_bad,
         "violations": violations,
-        "passed": bad.size == 0,
+        "passed": n_bad == 0,
     }
 
 
@@ -432,7 +454,9 @@ def duality_gap(bracket, directions, variational: BsdeSolution) -> dict:
 
     ``bracket`` and ``directions`` cover n = 0..truncation (the bracket from
     bracket_values already carries the degenerate terminal column); the
-    directions have shape (steps,) or one row per bracket row.
+    directions have shape (steps,) or one row per bracket row.  The terms are
+    formed in C order, so each path's sum runs in one fixed order whatever
+    the layouts of the bracket and the directions.
     """
     bracket = np.atleast_2d(np.asarray(bracket, dtype=float))
     v = np.asarray(directions, dtype=float)
@@ -446,6 +470,8 @@ def duality_gap(bracket, directions, variational: BsdeSolution) -> dict:
         raise ContractError(f"directions of shape {v.shape} do not match the bracket's {bracket.shape}")
     grid = np.arange(n_cols, dtype=float)
     weights = np.exp(-variational.lam * grid**variational.gamma_exp)
-    lhs = float(np.mean(np.sum(weights * bracket * v, axis=-1)))
+    terms = np.multiply(weights, bracket, order="C")
+    terms *= v
+    lhs = float(np.mean(np.sum(terms, axis=-1)))
     rhs = float(np.mean(variational.y[:, 0]))
     return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}

@@ -302,6 +302,22 @@ class TestPrediction:
         assert np.max(np.abs(got - want)) <= 1e-14
 
     @pytest.mark.parametrize(
+        "paths,horizon,n_max",
+        [(1, 8, 7), (1, 30, 0), (50_000, 51, 50), (100, 1701, 1700), (777, 130, 64), (40_000, 4, 3)],
+    )
+    def test_prediction_matrix_is_the_product_stored_step_major(self, paths, horizon, n_max):
+        sys = fn.build_innovation_system(0.75, horizon)
+        xi = fn.sample_ensemble(sys, seed=5, n_paths=paths).xi
+        got = fn.prediction_matrix(sys, xi, n_max)
+        assert got.shape == (paths, n_max + 1) and got.T.flags.c_contiguous
+        assert np.array_equal(got, xi[:, :n_max] @ sys.gamma[: n_max + 1, :n_max].T)
+
+    def test_prediction_matrix_refuses_a_negative_length(self):
+        sys = fn.build_innovation_system(0.75, 5)
+        with pytest.raises(ContractError, match="n_max must be >= 0"):
+            fn.prediction_matrix(sys, np.zeros((2, 4)), -1)
+
+    @pytest.mark.parametrize(
         "h,paths,horizon", [(0.75, 100_000, 25), (0.25, 2000, 200), (0.9, 500, 400)]
     )
     def test_prefix_layout_moves_only_the_last_bits(self, h, paths, horizon):

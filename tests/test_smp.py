@@ -1,4 +1,4 @@
-"""Tests for the adjoint chain, adjoint pair, Hamiltonian, and duality."""
+"""Tests for the adjoint chain, adjoint pair, bracket, certificate, and duality."""
 
 import json
 
@@ -28,6 +28,7 @@ from fracctrl.invest import (
     InvestConfig,
     adjoint_tables,
     coefficient_set,
+    consumption_indicator,
     cost_driver,
     run_experiment,
     solve_adjoint,
@@ -36,8 +37,6 @@ from fracctrl.smp import (
     bracket_values,
     check_necessary_condition,
     duality_gap,
-    hamiltonian,
-    hamiltonian_u,
     necessary_bracket,
     solve_adjoint_k,
     solve_adjoint_pq,
@@ -354,6 +353,9 @@ class TestDeterministicAdjoint:
 
 
 class TestHamiltonian:
+    """The bracket against the Hamiltonian's control derivative, by hand:
+    H_u = b_u p + sigma_u (p pred + beta(n,n) q) + f_u k = bracket + 2 f_u k."""
+
     coeffs = CoefficientSet(
         b=lambda n, x, u: 2.0 * x + 3.0 * u,
         sigma=lambda n, x, u: 1.0 + 0.0 * x,
@@ -368,17 +370,9 @@ class TestHamiltonian:
     )
     args = dict(n=0, x=1.0, y=0.5, z=0.5, u=2.0, p=1.5, q=-0.5, k=2.0, pred=0.3, beta_nn=0.9)
 
-    def test_hand_computed_value(self):
-        got = hamiltonian(self.coeffs, self.cost, **self.args)
-        assert got == pytest.approx(20.0, abs=1e-14), f"H = {got}, expected 20.0"
-
-    def test_control_derivative(self):
-        got = hamiltonian_u(self.coeffs, self.cost, **self.args)
-        assert got == pytest.approx(6.5, abs=1e-14)
-
     def test_bracket_flips_the_cost_term(self):
         bracket = necessary_bracket(self.coeffs, self.cost, **self.args)
-        ham_u = hamiltonian_u(self.coeffs, self.cost, **self.args)
+        ham_u = 3.0 * 1.5 + 0.0 * (1.5 * 0.3 + 0.9 * -0.5) + 1.0 * 2.0
         assert bracket == pytest.approx(2.5, abs=1e-14)
         assert ham_u - bracket == pytest.approx(
             2.0 * 1.0 * self.args["k"], abs=1e-14
@@ -386,8 +380,6 @@ class TestHamiltonian:
 
     def test_missing_cost_partial_is_a_contract_error(self):
         bare = DriverSpec(f=self.cost.f)
-        with pytest.raises(ContractError, match="f_u"):
-            hamiltonian_u(self.coeffs, bare, **self.args)
         with pytest.raises(ContractError, match="f_u"):
             necessary_bracket(self.coeffs, bare, **self.args)
 
@@ -420,6 +412,15 @@ class TestBracketValues:
         z_read = np.hstack([z_star, np.zeros((n_paths, 1))])
         want = 0.3 * p - (0.7 + 2.0 * y_star + 3.0 * z_read) * k
         assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_negative_truncation_refused(self):
+        sys = build_innovation_system(0.75, 5)
+        noise = sample_ensemble(sys, 9, 3, n_steps=4)
+        state = simulate_state(linear_coeffs(), ControlProcess(values=np.zeros(4)), noise, 1.0)
+        k = solve_adjoint_k(0.4, 0.0, 4)
+        adjoint = solve_adjoint_pq(0.1, 0.0, 0.3, k, 4, 0.5, 1.5)
+        with pytest.raises(ContractError, match="truncation must be >= 0"):
+            bracket_values(linear_coeffs(), linear_cost(), state, adjoint, k, sys, truncation=-1)
 
 
 def per_step_bracket(coeffs, cost, state, adjoint, k, sys, controls=None, cost_solution=None,
@@ -676,6 +677,112 @@ class TestNecessaryCheck:
         with pytest.raises(ContractError, match="n_trials"):
             check_necessary_condition(np.ones(3), np.zeros(3), 0.0, 1.0, n_trials=-1)
 
+    # Entries that make ties (signed zeros included), NaN and inf products,
+    # and many violations.
+    special = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, np.nan, np.inf, -np.inf])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        rows=st.integers(1, 13),
+        cols=st.integers(1, 13),
+        block_entries=st.sampled_from([1, 3, 16, 1 << 14]),
+        tolerance=st.sampled_from([0.0, 1e-8, 1.5]),
+    )
+    def test_every_layout_gives_the_whole_grid_report(self, data, rows, cols, block_entries, tolerance):
+        grid = st.lists(self.special, min_size=rows * cols, max_size=rows * cols)
+        bracket, u_star = (np.reshape(data.draw(grid), (rows, cols)) for _ in range(2))
+        lower_row = np.array(data.draw(st.lists(self.special, min_size=cols, max_size=cols)))
+        width = np.reshape(data.draw(st.lists(st.sampled_from([0.0, 1.0, 4.0, np.inf]),
+                                              min_size=rows * cols, max_size=rows * cols)), (rows, cols))
+        with np.errstate(invalid="ignore"):
+            upper = np.maximum(lower_row + width, lower_row)  # NaN where inf meets -inf
+            want = whole_grid_report(bracket, u_star, lower_row, upper, tolerance)
+            whole = (bracket, u_star, np.broadcast_to(lower_row, (rows, cols)), upper)
+            layouts = {
+                "C": [np.ascontiguousarray(a) for a in whole],
+                "F": [np.asfortranarray(a) for a in whole],
+                "broadcast": [np.repeat(bracket, 2, axis=1)[:, ::2], u_star, lower_row,
+                              np.asfortranarray(upper)],
+            }
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(smp, "_BLOCK_ENTRIES", block_entries)
+                reports = {
+                    name: check_necessary_condition(*args, tolerance=tolerance)
+                    for name, args in layouts.items()
+                }
+        texts = {name: json.dumps(report) for name, report in reports.items()}
+        assert texts["F"] == texts["C"] and texts["broadcast"] == texts["C"]
+        assert_same_report(reports["C"], want)
+
+    def test_the_first_ten_violations_are_path_major(self, monkeypatch):
+        # Every entry violates; one step per block walks the grid step-major.
+        monkeypatch.setattr(smp, "_BLOCK_ENTRIES", 1)
+        bracket = np.asfortranarray(np.ones((12, 9)))
+        report = check_necessary_condition(bracket, 1.0, 0.0, 1.0)
+        assert report["n_violations"] == 108 and report["min_index"] == [0, 0]
+        got = [(v["path"], v["step"]) for v in report["violations"]]
+        assert got == [(0, step) for step in range(9)] + [(1, 0)]
+
+    def test_a_nan_minimum_wins_and_a_zero_minimum_reads_plus_zero(self):
+        bracket = np.array([[-1.0, 1.0, 2.0], [np.nan, 1.0, np.nan]])
+        report = check_necessary_condition(bracket, 0.0, 0.0, 0.0)
+        assert np.isnan(report["min_bracket_product"]) and report["min_index"] == [1, 0]
+        # (0 - 0) * -1 is -0.0 at [0, 0]; the other corners give +0.0.
+        report = check_necessary_condition(bracket[:1], 0.0, 0.0, 0.0)
+        assert report["min_index"] == [0, 0]
+        assert json.dumps(report["min_bracket_product"]) == "0.0"
+
+    @pytest.mark.parametrize("block_entries", [None, 1000])
+    def test_run_experiment_reports_the_whole_grid_certificate(self, monkeypatch, block_entries):
+        # At tolerance 0 the rounding-level negative products are violations.
+        if block_entries is not None:
+            monkeypatch.setattr(smp, "_BLOCK_ENTRIES", block_entries)
+        cfg = InvestConfig(paths=1000, horizon=20, seed=0)
+        result = run_experiment(cfg, tolerance=0.0)
+        chi = consumption_indicator(cfg, cfg.horizon)
+        caps = np.maximum(result.state.values * (1 - cfg.c * chi), 0.0)
+        want = whole_grid_report(
+            np.ascontiguousarray(result.bracket), np.ascontiguousarray(result.controls), 0.0, caps, 0.0
+        )
+        assert want["n_violations"] > 10 and len({v["path"] for v in want["violations"]}) > 1
+        assert_same_report(result.check, want)
+
+
+def whole_grid_report(bracket, u_star, lower, upper, tolerance):
+    """The certificate's report fields from whole-grid arrays, in C order."""
+    b, us, lo, hi = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (bracket, u_star, lower, upper))
+    )
+    worst = (np.where(b > 0, lo, hi) - us) * b
+    bad = np.flatnonzero(~(worst >= -tolerance))
+    violations = []
+    for flat in bad[:10]:
+        path, step = np.unravel_index(flat, worst.shape)
+        corner = lo[path, step] if b[path, step] > 0 else hi[path, step]
+        violations.append({"value": float(worst[path, step]), "u": float(corner),
+                           "path": int(path), "step": int(step)})
+    return {
+        "min_bracket_product": float(worst.min()),
+        "min_index": [int(i) for i in np.unravel_index(np.argmin(worst), worst.shape)],
+        "n_violations": int(bad.size),
+        "violations": violations,
+        "passed": bad.size == 0,
+    }
+
+
+def assert_same_report(got, want):
+    """Equal report fields, a NaN equal to a NaN."""
+    for key in ("min_index", "n_violations", "passed"):
+        assert got[key] == want[key], key
+    where = [[(v["path"], v["step"]) for v in r["violations"]] for r in (got, want)]
+    assert where[0] == where[1]
+    numbers = [
+        [r["min_bracket_product"]] + [v[k] for v in r["violations"] for k in ("value", "u")]
+        for r in (got, want)
+    ]
+    assert np.array_equal(*numbers, equal_nan=True)
+
 
 class TestConvexity:
     @staticmethod
@@ -786,6 +893,22 @@ class TestVariationalDuality:
                 duality_gap(bracket, bad, variational)
         per_path = duality_gap(bracket, np.tile(v, (16, 1)), variational)
         assert per_path == duality_gap(bracket, v, variational)
+
+    def test_duality_gap_sums_each_path_in_one_order(self):
+        # A sum along a strided axis adds in another order than along a
+        # contiguous one; the terms are formed in C order whatever the inputs.
+        rng = np.random.default_rng(23)
+        bracket = rng.standard_normal((20_000, 25))
+        v = rng.standard_normal((20_000, 25))
+        variational = BsdeSolution(
+            y=rng.standard_normal((20_000, 25)), z=np.zeros((20_000, 24)), lam=0.5,
+            gamma_exp=1.2, backend="regression",
+        )
+        weights = np.exp(-0.5 * np.arange(25.0) ** 1.2)
+        want = float(np.mean(np.sum(weights * bracket * v, axis=-1)))
+        for b, d in ((bracket, v), (np.asfortranarray(bracket), v),
+                     (np.asfortranarray(bracket), np.asfortranarray(v))):
+            assert duality_gap(b, d, variational)["lhs"] == want
 
     def test_regression_backend_reproduces_the_deterministic_answer(self):
         sys, coeffs, state, v = self._deterministic_setup()
