@@ -21,15 +21,20 @@ Two backends realize the conditional expectations:
     exact        targets must be constant across paths (deterministic
                  problems); the constant is the expectation and Z vanishes.
     regression   least-squares projection on a polynomial basis in a sliding
-                 window of recent increments (default degree 2, window 3).
-                 Y_n and Z_n are projections on the same F_n, so each step
-                 builds one design and fits the two targets as the columns
-                 of one least-squares problem: by the semi-normal equations
-                 with one refinement step when the design's condition number
-                 is at most SEMI_NORMAL_MAX_COND, by an SVD solve otherwise.
-                 The solution diagnostics record the smallest singular value
-                 and the largest condition number of the designs, and how
-                 many steps took the SVD solve.
+                 window of recent increments (default degree 2, window 3),
+                 the regression Monte Carlo scheme of Gobet, Lemor & Warin
+                 (2005).  Y_n and Z_n are projections on the same F_n, so a
+                 step fits the two targets as the columns of one
+                 least-squares problem: by the semi-normal equations with
+                 one refinement step when the design's condition number is
+                 at most SEMI_NORMAL_MAX_COND, by an SVD solve otherwise.
+                 Consecutive windows share all but one increment, so a solve
+                 keeps one design buffer and its Gram matrix across steps:
+                 a step writes only the monomials of the increment it adds,
+                 and one product gives their Gram entries and the targets'
+                 moments.  The solution diagnostics record the smallest
+                 singular value and the largest condition number of the
+                 designs, and how many steps took the SVD solve.
 
 The truncation diagnostic re-solves at increasing horizons and reports
 backward-direction weighted norms of the differences, which should form a
@@ -102,27 +107,98 @@ class BsdeSolution:
         return self.y.shape[1] - 1
 
 
-def _poly_design(features: np.ndarray, degree: int):
-    """Monomial design matrix up to total ``degree``; returns (matrix, names).
+def _monomials(width: int, degree: int) -> list:
+    """Monomials of total degree <= ``degree`` in ``width`` features as
+    sorted tuples of feature indices, in the canonical column order: by
+    degree, then lexicographically, the constant () first."""
+    return [m for d in range(degree + 1) for m in combinations_with_replacement(range(width), d)]
 
-    Each monomial column is its parent monomial's column (the combination
-    without its last factor; the constant column for degree 1) times one
-    feature column, written in place into one Fortran-order array.
+
+def _basis_names(width: int, degree: int) -> list:
+    """Names of the canonical columns: "1", "x0", ..., "x0*x1", ..."""
+    return ["*".join(f"x{i}" for i in m) or "1" for m in _monomials(width, degree)]
+
+
+class _Design:
+    """Monomial design of a window of increments and its Gram matrix, kept
+    in one Fortran-order buffer across the steps of a backward solve.
+
+    A column is keyed by its monomial over absolute step indices: feature
+    column i holds the increment of step ``first + i``.  The first ``build``
+    writes every column in the canonical order.  A later one keeps every
+    column, with its Gram entries, whose monomial is still in the window.
+    So when a solve moves its window one step back, only the monomials of
+    the added increment are written, into the slots of the dropped ones,
+    and a shrinking window compacts its kept columns to the front.  Each
+    column is its parent's (the monomial without its last factor) times one
+    feature column.
+
+    ``block`` holds the ``n_targets`` target columns, then a copy of the
+    added columns, so that one product with the design gives both
+    design^T targets and the Gram entries of the added columns.  A single
+    fit has no targets there and is built once.  ``order`` lists the
+    design's columns in the canonical order.
     """
-    # A Fortran-order copy: contiguous columns make the products fast.  A
-    # window of sampled xi is already Fortran-contiguous, so this is a plain
-    # memcpy.  It is kept even then: using the window in place raised the
-    # duality workload's peak RSS from 322 to 331 MB, through the allocator's
-    # layout (the tracemalloc peak did not move).
-    features = np.array(features, dtype=float, order="F")
-    window = range(features.shape[1])
-    combos = [c for d in range(degree + 1) for c in combinations_with_replacement(window, d)]
-    column = {combo: j for j, combo in enumerate(combos)}
-    design = np.empty((features.shape[0], len(combos)), order="F")
-    design[:, 0] = 1.0  # the empty combination
-    for j, combo in enumerate(combos[1:], start=1):
-        np.multiply(design[:, column[combo[:-1]]], features[:, combo[-1]], out=design[:, j])
-    return design, ["*".join(f"x{i}" for i in combo) or "1" for combo in combos]
+
+    def __init__(self, n_rows: int, window: int, degree: int, n_targets: int = 0):
+        width = math.comb(window + degree, degree)
+        # The most columns a step adds: the monomials that hold one increment.
+        added = width - math.comb(window - 1 + degree, degree) if window and n_targets else 0
+        self.degree = degree
+        self.columns = np.empty((n_rows, width), order="F")
+        self.gram = np.empty((width, width))
+        self.block = np.empty((n_rows, n_targets + added), order="F")
+        self.targets = self.block[:, :n_targets]
+        self.slot = {}  # monomial, as a tuple of absolute steps -> column
+        self.order = []
+        self.first = 0
+
+    def build(self, features: np.ndarray, targets: np.ndarray):
+        """(design, Gram matrix, design^T targets) of the window ``features``,
+        whose columns hold steps ``first``, ``first + 1``, ...; after the
+        first build, ``targets`` must be ``self.targets``."""
+        wanted = [
+            tuple(self.first + i for i in m) for m in _monomials(features.shape[1], self.degree)
+        ]
+        width = len(wanted)
+        design, gram = self.columns[:, :width], self.gram[:width, :width]
+        if not self.slot:
+            self.slot = {m: j for j, m in enumerate(wanted)}
+            self.order = list(range(width))
+            self._write(features, wanted)
+            gram[...] = design.T @ design
+            return design, gram, design.T @ targets
+        old = self.slot
+        self.slot = {m: old[m] for m in wanted if old.get(m, width) < width}
+        free = iter(sorted(set(range(width)) - set(self.slot.values())))
+        for m in wanted:
+            if m in self.slot:
+                continue
+            j = self.slot[m] = next(free)
+            if m in old:  # kept, but beyond the new width
+                self.columns[:, j] = self.columns[:, old[m]]
+                self.gram[j] = self.gram[old[m]]
+                self.gram[:, j] = self.gram[:, old[m]]
+        self.order = [self.slot[m] for m in wanted]
+        added = [m for m in wanted if m not in old]
+        self._write(features, added)
+        slots = [self.slot[m] for m in added]
+        n_targets = self.targets.shape[1]
+        for i, j in enumerate(slots, start=n_targets):
+            self.block[:, i] = self.columns[:, j]
+        products = design.T @ self.block[:, : n_targets + len(slots)]
+        gram[:, slots] = products[:, n_targets:]
+        gram[slots, :] = products[:, n_targets:].T
+        return design, gram, products[:, :n_targets]
+
+    def _write(self, features: np.ndarray, monomials: list) -> None:
+        for m in monomials:
+            out = self.columns[:, self.slot[m]]
+            if m:
+                parent = self.columns[:, self.slot[m[:-1]]]
+                np.multiply(parent, features[:, m[-1] - self.first], out=out)
+            else:
+                out[:] = 1.0
 
 
 # Largest condition number of a design fitted by the semi-normal equations.
@@ -132,47 +208,60 @@ def _poly_design(features: np.ndarray, degree: int):
 SEMI_NORMAL_MAX_COND = 1e4
 
 
-def _semi_normal_fit(design: np.ndarray, targets: np.ndarray):
+def _semi_normal_fit(design: np.ndarray, gram: np.ndarray, moments: np.ndarray, targets):
     """(fitted values, singular values of the design) by the corrected
-    semi-normal equations: R from the Cholesky factor of design^T design,
-    one solve with R^T R and one refinement on the residual (Bjorck 1987;
-    Higham, Accuracy and Stability of Numerical Algorithms, ch. 20).  The
-    singular values are those of R, which equal the design's.  None when the
-    factorization fails or the condition number exceeds SEMI_NORMAL_MAX_COND.
+    semi-normal equations: R from the Cholesky factor of the Gram matrix
+    design^T design, one solve with R^T R and the moments design^T targets,
+    and one refinement on the residual (Bjorck 1987; Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 20).  The singular values are
+    those of R, which equal the design's.  None when the factorization fails
+    or the condition number exceeds SEMI_NORMAL_MAX_COND.
     """
     rows = design.T
     try:
-        factor = cholesky(rows @ design, check_finite=False)
+        factor = cholesky(gram, check_finite=False)
         singular = np.linalg.svd(factor, compute_uv=False)
     except np.linalg.LinAlgError:
         return None
     if not singular[0] <= SEMI_NORMAL_MAX_COND * singular[-1]:
         return None
-    coef = cho_solve((factor, False), rows @ targets, check_finite=False)
+    coef = cho_solve((factor, False), moments, check_finite=False)
     # (coef^T design^T)^T: each fitted column comes out contiguous.
     coef += cho_solve((factor, False), rows @ (targets - (coef.T @ rows).T), check_finite=False)
     return (coef.T @ rows).T, singular
 
 
 def conditional_expectation(
-    targets, features, backend: str, degree: int = 2, *, health: Optional[dict] = None
+    targets, features, backend: str, degree: int = 2, *, health: Optional[dict] = None,
+    cache: Optional[_Design] = None,
 ) -> np.ndarray:
     """Project per-path ``targets`` onto step-n information.
 
-    ``targets`` has shape (n_paths,) or (n_paths, k); each column is
+    ``targets`` has shape (n_paths,) or (n_paths, k), finite; each column is
     projected on its own and the result has the shape of ``targets``.
     exact: requires every column to be constant across paths and returns
     that constant.  regression: least-squares fit on the polynomial basis of
-    the given feature columns (shape (n_paths, window)); one design serves
-    all k columns.  The fit solves the semi-normal equations with one
+    the given finite feature columns (shape (n_paths, window)); one design
+    serves all k columns.  The fit solves the semi-normal equations with one
     refinement step; a design whose Cholesky factorization fails, or whose
     condition number exceeds SEMI_NORMAL_MAX_COND, is fitted by an SVD
     least-squares solve instead, which raises NumericalError on a
     rank-deficient design.  A regression fit given a ``health`` dict stores
     in it the design's singular values (``singular_values``) and whether it
-    took the SVD solve (``fallback``).
+    took the SVD solve (``fallback``).  ``cache`` is the design a backward
+    solve keeps across its steps; a single fit builds its own.
     """
     targets = np.asarray(targets, dtype=float)
+    if targets.ndim not in (1, 2) or len(targets) == 0:
+        raise ContractError(
+            f"targets must have shape (n_paths,) or (n_paths, k) with n_paths >= 1, "
+            f"got {targets.shape}"
+        )
+    if not np.isfinite(targets).all():
+        raise ContractError("targets must be finite")
+    require("degree", degree, int)
+    if degree < 0:
+        raise ContractError(f"degree must be >= 0, got {degree}")
     if backend == "exact":
         lo, hi = targets.min(axis=0), targets.max(axis=0)
         spread = hi - lo
@@ -184,18 +273,31 @@ def conditional_expectation(
         return np.full(targets.shape, 0.5 * (lo + hi))
     if backend != "regression":
         raise ContractError(f"backend must be 'exact' or 'regression', got {backend!r}")
-    design, names = _poly_design(features, degree)
-    if targets.shape[0] < design.shape[1]:
+    features = None if features is None else np.asarray(features, dtype=float)
+    if features is None or features.ndim != 2 or features.shape[0] != targets.shape[0]:
         raise ContractError(
-            f"{targets.shape[0]} paths cannot support a {design.shape[1]}-column basis"
+            f"features must have shape (n_paths, window) with the {targets.shape[0]} rows "
+            f"of targets, got {None if features is None else features.shape}"
         )
-    fit = _semi_normal_fit(design, targets)
+    if not np.isfinite(features).all():
+        raise ContractError("features must be finite")
+    width = math.comb(features.shape[1] + degree, degree)
+    if targets.shape[0] < width:
+        raise ContractError(f"{targets.shape[0]} paths cannot support a {width}-column basis")
+    if cache is None:
+        cache = _Design(targets.shape[0], features.shape[1], degree)
+    design, gram, moments = cache.build(features, targets)
+    fit = _semi_normal_fit(design, gram, moments, targets)
     fallback = fit is None
     if fallback:
+        # In the canonical column order, an ill-conditioned design is solved
+        # to the bit as a single fit solves it.
+        design = design[:, cache.order]
         coef, _, rank, singular = np.linalg.lstsq(design, targets, rcond=None)
-        if rank < design.shape[1]:
+        if rank < width:
+            names = _basis_names(features.shape[1], degree)
             raise NumericalError(
-                f"regression design is rank-deficient ({rank} < {design.shape[1]})",
+                f"regression design is rank-deficient ({rank} < {width})",
                 detail={"basis": names, "singular_values": singular.tolist()},
             )
         fit = design @ coef, singular
@@ -326,7 +428,8 @@ def solve_truncated(
     y = np.zeros((n_trunc + 1, n_paths))
     z = np.zeros((n_trunc, n_paths))
     zeros = np.zeros(n_paths)
-    stacked = np.empty((n_paths, 2), order="F")  # Y and Z targets of a regression step
+    # One design for the whole solve; its targets hold a step's Y and Z targets.
+    cache = None if backend == "exact" else _Design(n_paths, min(window, n_trunc - 1), degree, 2)
     health = {}
     singular_min, cond_max, fallbacks = np.inf, 0.0, 0
     for n in range(n_trunc - 1, -1, -1):
@@ -350,12 +453,14 @@ def solve_truncated(
         if backend == "exact":
             y[n] = conditional_expectation(target, None, "exact")
         else:
+            stacked = cache.targets
             stacked[:, 0] = target
             np.multiply(eta[:, n], target, out=stacked[:, 1])
-            feats = xi[:, max(0, n - window) : n]
+            cache.first = max(0, n - window)
             try:
                 fitted = conditional_expectation(
-                    stacked, feats, "regression", degree, health=health
+                    stacked, xi[:, cache.first : n], "regression", degree, health=health,
+                    cache=cache,
                 )
             except NumericalError as err:
                 raise NumericalError(

@@ -13,7 +13,8 @@ from fracctrl import ContractError, NumericalError
 from fracctrl.backward import (
     BsdeSolution,
     DriverSpec,
-    _poly_design,
+    _basis_names,
+    _Design,
     cauchy_diagnostic,
     conditional_expectation,
     solve_truncated,
@@ -81,6 +82,13 @@ def reference_design(features, degree):
     return np.column_stack(cols), names
 
 
+def fresh_design(features, degree):
+    """A single fit's build of the design, with its canonical basis names."""
+    n_rows, width = features.shape
+    design, _, _ = _Design(n_rows, width, degree).build(features, features[:, :0])
+    return design, _basis_names(width, degree)
+
+
 def reference_regression_solve(f, state, n_trunc, lam, gamma_exp, window, degree):
     """Backward regression loop with one design and one fit per target."""
     ratios = np.exp(-lam * np.diff(np.arange(n_trunc + 1, dtype=float) ** gamma_exp))
@@ -94,6 +102,23 @@ def reference_regression_solve(f, state, n_trunc, lam, gamma_exp, window, degree
         design, _ = reference_design(xi[:, max(0, n - window) : n], degree)
         for out, column in ((y, target), (z, eta[:, n] * target)):
             out[:, n] = design @ np.linalg.lstsq(design, column, rcond=None)[0]
+    return y, z
+
+
+def fresh_fit_solve(f, state, n_trunc, lam, gamma_exp, window, degree):
+    """Backward regression loop with a single fit, its own design, per step."""
+    ratios = np.exp(-lam * np.diff(np.arange(n_trunc + 1, dtype=float) ** gamma_exp))
+    xi, eta, x = state.noise.xi, state.noise.eta, state.values
+    y = np.zeros((state.n_paths, n_trunc + 1))
+    z = np.zeros((state.n_paths, n_trunc))
+    for n in range(n_trunc - 1, -1, -1):
+        m = n + 1
+        z_m = z[:, m] if m < n_trunc else np.zeros(state.n_paths)
+        target = ratios[n] * (y[:, m] + f(m, x[:, m], y[:, m], z_m, None))
+        stacked = np.asfortranarray(np.column_stack([target, eta[:, n] * target]))
+        feats = xi[:, max(0, n - window) : n]
+        fitted = conditional_expectation(stacked, feats, "regression", degree)
+        y[:, n], z[:, n] = fitted[:, 0], fitted[:, 1]
     return y, z
 
 
@@ -147,12 +172,65 @@ class TestConditionalExpectation:
         with pytest.raises(ContractError, match="backend"):
             conditional_expectation(np.zeros(3), None, "oracle")
 
+    def test_features_with_other_rows_than_targets_are_refused(self):
+        feats = np.random.default_rng(1).standard_normal((40, 2))
+        with pytest.raises(ContractError, match=r"features must have shape .* got \(40, 2\)"):
+            conditional_expectation(np.zeros(50), feats, "regression")
+
+    def test_three_dimensional_targets_are_refused(self):
+        feats = np.random.default_rng(1).standard_normal((50, 2))
+        with pytest.raises(ContractError, match=r"targets must have shape .* got \(50, 2, 1\)"):
+            conditional_expectation(np.zeros((50, 2, 1)), feats, "regression")
+
+    @pytest.mark.parametrize("backend", ["exact", "regression"])
+    def test_targets_without_paths_are_refused(self, backend):
+        # The exact backend used to fail in numpy's min over no rows.
+        with pytest.raises(ContractError, match=r"n_paths >= 1, got \(0,\)"):
+            conditional_expectation(np.zeros(0), np.zeros((0, 1)), backend)
+
+    def test_missing_features_are_refused_on_the_regression_backend(self):
+        with pytest.raises(ContractError, match="features must have shape .* got None"):
+            conditional_expectation(np.zeros(50), None, "regression")
+
+    def test_one_dimensional_features_are_refused(self):
+        feats = np.random.default_rng(1).standard_normal(50)
+        with pytest.raises(ContractError, match=r"features must have shape .* got \(50,\)"):
+            conditional_expectation(np.zeros(50), feats, "regression")
+
+    def test_negative_degree_is_refused(self):
+        feats = np.random.default_rng(1).standard_normal((50, 2))
+        with pytest.raises(ContractError, match="degree must be >= 0, got -1"):
+            conditional_expectation(np.zeros(50), feats, "regression", degree=-1)
+
+    def test_fractional_degree_is_refused(self):
+        feats = np.random.default_rng(1).standard_normal((50, 2))
+        with pytest.raises(ContractError, match="degree must be an integer, got 1.5"):
+            conditional_expectation(np.zeros(50), feats, "regression", degree=1.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_features_are_refused(self, bad):
+        # They used to reach LAPACK, which printed to stderr and raised
+        # LinAlgError ("SVD did not converge").
+        feats = np.random.default_rng(1).standard_normal((50, 2))
+        feats[3, 1] = bad
+        with pytest.raises(ContractError, match="features must be finite"):
+            conditional_expectation(np.ones(50), feats, "regression")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("backend", ["exact", "regression"])
+    def test_non_finite_targets_are_refused(self, backend, bad):
+        feats = np.random.default_rng(1).standard_normal((50, 2))
+        targets = np.ones(50)
+        targets[7] = bad
+        with pytest.raises(ContractError, match="targets must be finite"):
+            conditional_expectation(targets, feats, backend)
+
     @pytest.mark.parametrize("window", range(6))
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_design_matches_the_column_stack_reference(self, window, degree):
         # A strided slice, as solve_truncated passes a window of xi.
         feats = np.random.default_rng(window).standard_normal((300, 8))[:, 1 : 1 + window]
-        design, names = _poly_design(feats, degree)
+        design, names = fresh_design(feats, degree)
         want, want_names = reference_design(feats, degree)
         assert names == want_names
         assert np.array_equal(design, want), "in-place design must be bit-identical"
@@ -163,10 +241,30 @@ class TestConditionalExpectation:
         by_step = np.random.default_rng(degree).standard_normal((8, 300))
         window = by_step[2:7].T
         assert window.flags.f_contiguous
-        design, names = _poly_design(window, degree)
-        want, want_names = _poly_design(np.ascontiguousarray(window), degree)
+        design, names = fresh_design(window, degree)
+        want, want_names = fresh_design(np.ascontiguousarray(window), degree)
         assert names == want_names
         assert np.array_equal(design, want)
+
+    @pytest.mark.parametrize("window", range(6))
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_a_rolled_design_holds_the_window_columns(self, window, degree):
+        # Steps 9, 8, ... back to 0, as a backward solve moves its window.
+        xi = np.asfortranarray(np.random.default_rng(window).standard_normal((300, 10)))
+        cache = _Design(300, window, degree, n_targets=2)
+        cache.targets[...] = np.random.default_rng(degree).standard_normal((300, 2))
+        for n in range(9, -1, -1):
+            cache.first = max(0, n - window)
+            feats = xi[:, cache.first : n]
+            design, gram, moments = cache.build(feats, cache.targets)
+            want, _ = reference_design(feats, degree)
+            canonical = design[:, cache.order]
+            assert np.array_equal(canonical, want), f"step {n}: columns must be bit-identical"
+            assert_allclose(gram[np.ix_(cache.order, cache.order)], want.T @ want,
+                            rtol=1e-13, atol=1e-13 * len(want))
+            assert_allclose(moments[cache.order], want.T @ cache.targets,
+                            rtol=1e-13, atol=1e-13 * len(want))
+        assert cache.columns.shape[1] == len(reference_design(xi[:, :window], degree)[1])
 
     def test_two_column_fit_equals_two_single_fits(self):
         rng = np.random.default_rng(17)
@@ -563,6 +661,70 @@ class TestRegressionBackend:
         want_y, want_z = reference_regression_solve(f, near, 4, 0.3, 1.5, window=2, degree=2)
         assert_allclose(sol.y, want_y, rtol=0, atol=1e-10)
         assert_allclose(sol.z, want_z, rtol=0, atol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_trunc=st.integers(1, 8),
+        window=st.integers(0, 5),
+        degree=st.integers(0, 3),
+        hurst=st.sampled_from([0.25, 0.5, 0.75]),
+        path_major=st.booleans(),
+    )
+    def test_rolled_solve_matches_a_fresh_fit_per_step(
+        self, seed, n_trunc, window, degree, hurst, path_major
+    ):
+        # Horizons from 1 to 8 fall both short of and past windows up to 5.
+        _, state = simulate_white(n_trunc, 1500, seed, hurst)
+        if path_major:  # an ensemble built by hand, in C order
+            noise = NoiseEnsemble(seed=seed, eta=np.ascontiguousarray(state.noise.eta),
+                                  xi=np.ascontiguousarray(state.noise.xi))
+            assert noise.xi.flags.c_contiguous
+            state = StatePath(values=state.values, controls=state.controls, noise=noise)
+
+        def f(n, x, y, z, u):
+            return np.abs(x) + 0.3 * y + 0.2 * z
+
+        sol = solve_truncated(DriverSpec(f=f), state, None, n_trunc, 0.3, 1.5,
+                              window=window, degree=degree)
+        want_y, want_z = reference_regression_solve(f, state, n_trunc, 0.3, 1.5, window, degree)
+        assert sol.diagnostics["fit_fallbacks"] == 0
+        assert np.max(np.abs(sol.y - want_y)) <= 1e-12 * np.max(np.abs(want_y))
+        assert np.max(np.abs(sol.z - want_z)) <= 1e-12 * np.max(np.abs(want_z))
+
+    def test_rolled_steps_after_an_svd_step_match_fresh_fits(self):
+        # xi_3 nearly repeats xi_2: with window 2 only step 4 regresses on
+        # both, a rolled step that takes the SVD solve; steps 3..0 roll on.
+        _, state = simulate_white(6, 2000, seed=53)
+        xi = state.noise.xi.copy()
+        xi[:, 3] = xi[:, 2] + 1e-3 * np.random.default_rng(4).standard_normal(2000)
+        noise = NoiseEnsemble(seed=state.noise.seed, eta=state.noise.eta, xi=xi)
+        near = simulate_state(last_increment_model(), ControlProcess(values=np.zeros(6)), noise, 0.0)
+
+        def f(n, x, y, z, u):
+            return np.abs(x) + 0.3 * y + 0.2 * z
+
+        sol = solve_truncated(DriverSpec(f=f), near, None, 6, 0.3, 1.5, window=2)
+        assert sol.diagnostics["fit_fallbacks"] == 1
+        want_y, want_z = fresh_fit_solve(f, near, 6, 0.3, 1.5, window=2, degree=2)
+        assert np.array_equal(sol.y[:, 4:], want_y[:, 4:]), "the SVD step is the fresh fit's"
+        assert np.max(np.abs(sol.y - want_y)) <= 1e-12 * np.max(np.abs(want_y))
+        assert np.max(np.abs(sol.z - want_z)) <= 1e-12 * np.max(np.abs(want_z))
+
+    def test_a_rank_deficient_rolled_step_names_its_canonical_basis(self):
+        # xi_2 = 0: step 4, the first rolled step, regresses on it, and its
+        # design holds the kept columns of step 5 out of canonical order.
+        _, state = simulate_white(6, 200, seed=43)
+        xi = state.noise.xi.copy()
+        xi[:, 2] = 0.0
+        noise = NoiseEnsemble(seed=state.noise.seed, eta=state.noise.eta, xi=xi)
+        flat = simulate_state(last_increment_model(), ControlProcess(values=np.zeros(6)), noise, 0.0)
+        driver = DriverSpec(f=lambda n, x, y, z, u: x + 0.0 * y)
+        with pytest.raises(NumericalError, match="step 4: regression design is rank-deficient") as err:
+            solve_truncated(driver, flat, None, 6, 0.3, 1.5, backend="regression", window=2)
+        assert err.value.detail["step"] == 4
+        assert err.value.detail["basis"] == ["1", "x0", "x1", "x0*x0", "x0*x1", "x1*x1"]
+        assert len(err.value.detail["singular_values"]) == 6
 
     def test_too_few_paths_for_the_basis(self):
         _, state = simulate_white(4, 5, seed=33)
