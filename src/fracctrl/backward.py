@@ -51,7 +51,6 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
 
-from ._csv import write_csv
 from .errors import ContractError, NumericalError, require
 from .forward import StatePath
 from .fracnoise import InnovationSystem, prediction_matrix
@@ -63,7 +62,6 @@ __all__ = [
     "conditional_expectation",
     "solve_truncated",
     "cauchy_diagnostic",
-    "write_solution_csv",
 ]
 
 
@@ -535,8 +533,3 @@ def cauchy_diagnostic(
             }
         )
     return rows
-
-
-def write_solution_csv(solution: BsdeSolution, path) -> None:
-    """Dump (path_id, n, Y, Z) rows, 17 digits; Z is empty at the terminal."""
-    write_csv(path, "path_id,n,Y,Z", [(solution.y.shape, [0, 1, solution.y, solution.z])])

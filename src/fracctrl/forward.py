@@ -26,7 +26,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._csv import write_csv
 from .errors import ContractError, NumericalError
 from .fracnoise import NoiseEnsemble
 
@@ -37,8 +36,6 @@ __all__ = [
     "simulate_state",
     "simulate_variation",
     "perturb_control",
-    "check_partials",
-    "write_trajectory_csv",
 ]
 
 
@@ -47,8 +44,7 @@ class CoefficientSet:
     """Drift/noise coefficients b, sigma with their partials in x and u.
 
     Each callable takes (n, x, u) with x, u per-path arrays and returns a
-    broadcastable array; check_partials spot-checks the declared partials by
-    finite differences.  The simulators pass the step n as an int.  The
+    broadcastable array.  The simulators pass the step n as an int.  The
     u-partials b_u and sigma_u also serve the bracket, which evaluates a
     block of paths over all steps at once: there n is the array of step
     indices 0..N and x, u are (paths, N + 1) arrays, so they must broadcast
@@ -70,13 +66,11 @@ class ControlProcess:
     ``values`` has shape (n_steps,) or (n_paths, n_steps) with column n the
     control applied at step n.  ``rule(n, x, xi_hist)`` receives the current
     state and the noise observed so far (shape (n_paths, n)) and returns the
-    per-path control.  ``bounds``, when given, is a fixed closed interval
-    [lo, hi]; fixed values are validated against it at construction.
+    per-path control.
     """
 
     values: Optional[np.ndarray] = None
     rule: Optional[Callable] = None
-    bounds: Optional[tuple] = None
 
     def __post_init__(self):
         if (self.values is None) == (self.rule is None):
@@ -85,10 +79,6 @@ class ControlProcess:
             self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
             if self.values.ndim > 2:
                 raise ContractError(f"values must be 1- or 2-dimensional, got shape {self.values.shape}")
-            if self.bounds is not None:
-                lo, hi = self.bounds
-                if np.any(self.values < lo) or np.any(self.values > hi):
-                    raise ContractError(f"control values leave the admissible interval [{lo}, {hi}]")
 
     def at(self, n: int, x: np.ndarray, xi_hist: np.ndarray) -> np.ndarray:
         if self.rule is not None:
@@ -205,34 +195,4 @@ def perturb_control(u_star, u_tilde, eps: float) -> ControlProcess:
     a, b = _control_values(u_star), _control_values(u_tilde)
     if a.shape[-1] != b.shape[-1]:
         raise ContractError(f"control lengths differ: {a.shape[-1]} vs {b.shape[-1]}")
-    bounds = None
-    if isinstance(u_star, ControlProcess) and isinstance(u_tilde, ControlProcess):
-        if u_star.bounds == u_tilde.bounds:
-            bounds = u_star.bounds
-    return ControlProcess(values=(1.0 - eps) * a + eps * b, bounds=bounds)
-
-
-def check_partials(coeffs: CoefficientSet, n: int, x, u, step: float = 1e-6) -> dict:
-    """Central-difference spot check of the declared partials at (n, x, u)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    report = {}
-    for name, func, partial, wrt in (
-        ("b_x", coeffs.b, coeffs.b_x, "x"),
-        ("b_u", coeffs.b, coeffs.b_u, "u"),
-        ("sigma_x", coeffs.sigma, coeffs.sigma_x, "x"),
-        ("sigma_u", coeffs.sigma, coeffs.sigma_u, "u"),
-    ):
-        if wrt == "x":
-            fd = (func(n, x + step, u) - func(n, x - step, u)) / (2 * step)
-        else:
-            fd = (func(n, x, u + step) - func(n, x, u - step)) / (2 * step)
-        declared = np.broadcast_to(np.asarray(partial(n, x, u), dtype=float), x.shape)
-        report[name] = float(np.max(np.abs(declared - fd)))
-    return report
-
-
-def write_trajectory_csv(state: StatePath, path) -> None:
-    """Dump (path_id, n, X, u, xi) rows, one per step, 17 digits."""
-    columns = [0, 1, state.values, state.controls, state.noise.xi]
-    write_csv(path, "path_id,n,X,u,xi", [(state.controls.shape, columns)])
+    return ControlProcess(values=(1.0 - eps) * a + eps * b)

@@ -57,13 +57,13 @@ __all__ = [
     "sample_ensemble",
     "predict_next",
     "prediction_matrix",
-    "whiten",
     "gaussian_abs_moment",
     "write_loadings_csv",
 ]
 
 
 def _check_hurst(h: float) -> float:
+    require("Hurst index", h, float)
     h = float(h)
     if not 0.0 < h < 1.0:
         raise ContractError(f"Hurst index must lie in (0, 1), got {h}")
@@ -294,14 +294,7 @@ def prediction_matrix(system: InnovationSystem, xi, n_max: int) -> np.ndarray:
     return _step_major(xi[:, :n_max] @ system.gamma[: n_max + 1, :n_max].T)
 
 
-def whiten(system: InnovationSystem, xi: np.ndarray) -> np.ndarray:
-    """Recover innovations eta = alpha @ xi (rows are paths if xi is 2D)."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape[-1] != system.horizon:
-        raise ContractError(
-            f"xi has {xi.shape[-1]} steps but the system horizon is {system.horizon}"
-        )
-    return xi @ system.alpha.T
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def gaussian_abs_moment(m: float) -> float:
@@ -310,17 +303,29 @@ def gaussian_abs_moment(m: float) -> float:
     For even integer m this reduces exactly to the double factorial
     (m-1)!! = 1 * 3 * ... * (m-1), which is returned via integer arithmetic so
     the classical values (m=2 -> 1, m=4 -> 3) are exact.  Other m > 0 use the
-    log-Gamma form, stable far beyond m = 200.
+    log-Gamma form, stable far beyond m = 200.  Past m of about 301 the moment
+    exceeds the float range; the log-Gamma form tells so before any product
+    is formed, and NumericalError names m.
     """
+    require("moment order", m, float)
     m = float(m)
     if m <= 0:
         raise ContractError(f"moment order must be > 0, got {m}")
+    try:
+        log_moment = 0.5 * m * math.log(2.0) + math.lgamma(0.5 * (m + 1.0)) - 0.5 * math.log(math.pi)
+    except OverflowError:
+        log_moment = math.inf
+    if log_moment > _LOG_FLOAT_MAX:
+        raise NumericalError(
+            f"E|xi|^m overflows a float at moment order m={m} (log value {log_moment:.6g})",
+            detail={"m": m},
+        )
     if m == math.floor(m) and int(m) % 2 == 0:
         prod = 1
         for i in range(1, int(m), 2):
             prod *= i
         return float(prod)
-    return math.exp(0.5 * m * math.log(2.0) + math.lgamma(0.5 * (m + 1.0)) - 0.5 * math.log(math.pi))
+    return math.exp(log_moment)
 
 
 def write_loadings_csv(system: InnovationSystem, path) -> None:

@@ -52,7 +52,6 @@ __all__ = [
     "necessary_bracket",
     "bracket_values",
     "check_necessary_condition",
-    "verify_convexity",
     "solve_variational",
     "duality_gap",
 ]
@@ -300,8 +299,8 @@ def check_necessary_condition(
     the worst admissible control ``u``.  ``n_trials`` > 0 adds a serial
     witness, the least product over that many uniform draws from the box
     under per-trial generators spawned from ``seed``.  No draw can go below
-    the certificate, and the witness never gates ``passed``.  ``tolerance``
-    is a finite number >= 0.
+    the certificate, and the witness never gates ``passed``.  ``seed`` is
+    an integer >= 0 and ``tolerance`` a finite number >= 0.
 
     The corners are taken in blocks of steps (the last axis), as the
     step-major grids of a run are stored, and no temporary is larger than a
@@ -317,6 +316,9 @@ def check_necessary_condition(
     require("n_trials", n_trials, int)
     if n_trials < 0:
         raise ContractError(f"n_trials must be >= 0, got {n_trials}")
+    require("seed", seed, int)
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     require("tolerance", tolerance, float)
     if tolerance < 0:
         raise ContractError(f"tolerance must be >= 0, got {tolerance}")
@@ -377,32 +379,6 @@ def check_necessary_condition(
         "n_violations": n_bad,
         "violations": violations,
         "passed": n_bad == 0,
-    }
-
-
-def verify_convexity(fn, sampler, n_pairs: int = 256, seed: int = 0, tolerance: float = 1e-10) -> dict:
-    """Midpoint-convexity probe of ``fn(x, u)`` over sampled argument pairs.
-
-    ``sampler(rng, size)`` returns per-pair (x, u) arrays.  A positive gap
-    fn(midpoint) - (fn(a) + fn(b)) / 2 beyond ``tolerance`` is a violation;
-    the report states what was found either way.
-    """
-    require("n_pairs", n_pairs, int)
-    if n_pairs < 1:
-        raise ContractError(f"n_pairs must be >= 1, got {n_pairs}")
-    rng = np.random.default_rng(seed)
-    x1, u1 = sampler(rng, n_pairs)
-    x2, u2 = sampler(rng, n_pairs)
-    gap = fn(0.5 * (x1 + x2), 0.5 * (u1 + u2)) - 0.5 * (fn(x1, u1) + fn(x2, u2))
-    gap = np.asarray(gap, dtype=float)
-    bad = np.flatnonzero(gap > tolerance)
-    return {
-        "pairs": n_pairs,
-        "tolerance": tolerance,
-        "max_gap": float(gap.max()),
-        "n_violations": int(bad.size),
-        "violations": [{"pair": int(i), "gap": float(gap[i])} for i in bad[:10]],
-        "convex": bad.size == 0,
     }
 
 

@@ -31,11 +31,9 @@ from .errors import ContractError, require
 __all__ = [
     "WeightedNormParams",
     "WeightedNormResult",
-    "delta_term",
     "delta_products",
     "product_lower_bound",
     "weighted_norm",
-    "is_compatible",
 ]
 
 
@@ -45,15 +43,6 @@ def _check_theta(theta: float) -> float:
     if theta <= 1.0:
         raise ContractError(f"theta must be > 1, got {theta}")
     return theta
-
-
-def delta_term(theta: float, n: int) -> float:
-    """delta_n = 1 - (n + 2)^{-theta} for n >= 1; lies in (0, 1)."""
-    theta = _check_theta(theta)
-    require("term index", n, int)
-    if n < 1:
-        raise ContractError(f"term index must be >= 1, got {n}")
-    return 1.0 - (n + 2.0) ** (-theta)
 
 
 def delta_products(theta: float, n_max: int) -> np.ndarray:
@@ -134,9 +123,6 @@ class WeightedNormResult:
     tail_term: float
     truncation: int
 
-    def __float__(self):
-        return self.value
-
 
 def weighted_norm(values, params: WeightedNormParams, truncation: int | None = None) -> WeightedNormResult:
     """Truncated weighted norm of a path or path ensemble.
@@ -163,14 +149,3 @@ def weighted_norm(values, params: WeightedNormParams, truncation: int | None = N
     return WeightedNormResult(
         value=float(np.sum(terms)), tail_term=float(terms[-1]), truncation=int(truncation)
     )
-
-
-def is_compatible(a: float, b: float, theta: float) -> bool:
-    """Sufficient check of the exponent-pair constraint a * |S|^2 >= b >= 1.
-
-    Uses the certified lower bound for the infinite product, so True is a
-    guarantee while False only means the cheap certificate failed.
-    """
-    if b < 1.0:
-        return False
-    return a * product_lower_bound(theta) ** 2 >= b

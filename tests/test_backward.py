@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fracctrl import ContractError, NumericalError
+from fracctrl._csv import write_csv
 from fracctrl.backward import (
     BsdeSolution,
     DriverSpec,
@@ -18,7 +19,6 @@ from fracctrl.backward import (
     cauchy_diagnostic,
     conditional_expectation,
     solve_truncated,
-    write_solution_csv,
 )
 from fracctrl.forward import CoefficientSet, ControlProcess, StatePath, simulate_state
 from fracctrl.fracnoise import NoiseEnsemble, build_innovation_system, sample_ensemble
@@ -791,6 +791,11 @@ class TestCauchyDiagnostic:
         assert row["norm_z"] > 0.0, "the regression Z differences must be live"
 
 
+def write_solution_table(solution, path):
+    """(path_id, n, Y, Z) rows of a solve; Z is empty at the terminal."""
+    write_csv(path, "path_id,n,Y,Z", [(solution.y.shape, [0, 1, solution.y, solution.z])])
+
+
 class TestSolutionCsv:
     def test_step_major_solution_writes_the_c_order_bytes(self, tmp_path):
         _, state = simulate_white(5, 300, seed=51, hurst=0.7)
@@ -801,14 +806,14 @@ class TestSolutionCsv:
             y=np.ascontiguousarray(sol.y), z=np.ascontiguousarray(sol.z), lam=sol.lam,
             gamma_exp=sol.gamma_exp, backend=sol.backend,
         )
-        write_solution_csv(sol, tmp_path / "step_major.csv")
-        write_solution_csv(copy, tmp_path / "c_order.csv")
+        write_solution_table(sol, tmp_path / "step_major.csv")
+        write_solution_table(copy, tmp_path / "c_order.csv")
         assert (tmp_path / "step_major.csv").read_bytes() == (tmp_path / "c_order.csv").read_bytes()
 
     def test_roundtrip(self, tmp_path):
         sol = solve_truncated(constant_driver(0.7), None, None, 3, 1.0, 2.0, backend="exact")
         out = tmp_path / "solution.csv"
-        write_solution_csv(sol, out)
+        write_solution_table(sol, out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "path_id,n,Y,Z"
         assert len(lines) == 1 + 4

@@ -1,8 +1,9 @@
-"""The five CSV writers against the row loops they replaced, byte for byte,
-and the float text against format(x, ".17g") itself.
+"""The three CSV writers, and write_csv on a backward solution's 2-D grid
+and a trajectory's five columns, against the row loops they replaced, byte
+for byte, and the float text against format(x, ".17g") itself.
 
-Each reference below is the per-row loop a writer used before all of them
-shared one chunked helper; the new writer must reproduce its file exactly on
+Each reference below is the per-row loop a table was written with before all
+of them shared one chunked helper; the helper must reproduce its file exactly on
 a single path, on row counts at, beyond and off the chunk size, with a chunk
 ending inside a path, and on the float values whose text is easiest to get
 wrong.  The float text is also checked on raw bit patterns, exact decimal
@@ -21,8 +22,8 @@ from hypothesis import strategies as st
 
 from fracctrl import _csv
 from fracctrl._csv import CHUNK_ROWS, write_csv
-from fracctrl.backward import BsdeSolution, solve_truncated, write_solution_csv
-from fracctrl.forward import StatePath, write_trajectory_csv
+from fracctrl.backward import BsdeSolution, solve_truncated
+from fracctrl.forward import StatePath
 from fracctrl.fracnoise import InnovationSystem, NoiseEnsemble, build_innovation_system, write_loadings_csv
 from fracctrl.invest import (
     InvestAdjoint,
@@ -76,6 +77,17 @@ def reference_trajectory(state, path):
                 fh.write(
                     f"{i},{n},{state.values[i, n]:.17g},{state.controls[i, n]:.17g},{xi[i, n]:.17g}\n"
                 )
+
+
+def solution_table(solution, path):
+    """(path_id, n, Y, Z) of a solve in one write_csv table; Z is one step short."""
+    write_csv(path, "path_id,n,Y,Z", [(solution.y.shape, [0, 1, solution.y, solution.z])])
+
+
+def trajectory_table(state, path):
+    """(path_id, n, X, u, xi) of a simulated state in one write_csv table."""
+    columns = [0, 1, state.values, state.controls, state.noise.xi]
+    write_csv(path, "path_id,n,X,u,xi", [(state.controls.shape, columns)])
 
 
 def reference_loadings(system, path):
@@ -145,8 +157,8 @@ def loadings_input(rng, n_paths, n_steps, special):
 WRITERS = {
     "wealth": (write_wealth_csv, reference_wealth, wealth_input),
     "adjoint": (write_adjoint_csv, reference_adjoint, adjoint_input),
-    "solution": (write_solution_csv, reference_solution, solution_input),
-    "trajectory": (write_trajectory_csv, reference_trajectory, trajectory_input),
+    "solution": (solution_table, reference_solution, solution_input),
+    "trajectory": (trajectory_table, reference_trajectory, trajectory_input),
     "loadings": (write_loadings_csv, reference_loadings, loadings_input),
 }
 
@@ -187,15 +199,15 @@ def test_writers_match_on_a_real_run(tmp_path):
     result = run_experiment(config)
     assert_same_file(write_wealth_csv, reference_wealth, result, tmp_path)
     assert_same_file(write_adjoint_csv, reference_adjoint, result.adjoint, tmp_path)
-    assert_same_file(write_trajectory_csv, reference_trajectory, result.state, tmp_path)
+    assert_same_file(trajectory_table, reference_trajectory, result.state, tmp_path)
     assert_same_file(write_loadings_csv, reference_loadings, result.system, tmp_path)
     cost = solve_truncated(
         cost_driver(config), result.state, None, config.horizon, config.lam, config.gamma_exp,
         control_values=result.controls,
     )
-    assert_same_file(write_solution_csv, reference_solution, cost, tmp_path)
+    assert_same_file(solution_table, reference_solution, cost, tmp_path)
     adjoint = solve_adjoint_pq(0.01, 0.0, -1.0, 1.0, 10, 1.0, 2.0)
-    assert_same_file(write_solution_csv, reference_solution, adjoint, tmp_path)
+    assert_same_file(solution_table, reference_solution, adjoint, tmp_path)
 
 
 def test_loadings_match_at_the_cli_size(tmp_path):

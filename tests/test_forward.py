@@ -48,11 +48,6 @@ class TestControlProcess:
         with pytest.raises(ContractError):
             fw.ControlProcess(values=np.zeros(3), rule=lambda n, x, h: 0.0)
 
-    def test_bounds_validated(self):
-        fw.ControlProcess(values=np.array([0.0, 0.5, 1.0]), bounds=(0.0, 1.0))
-        with pytest.raises(ContractError):
-            fw.ControlProcess(values=np.array([0.0, 1.5]), bounds=(0.0, 1.0))
-
     def test_at_broadcasts_shared_values(self):
         u = fw.ControlProcess(values=np.array([1.0, 2.0]))
         out = u.at(1, np.zeros(5), np.zeros((5, 1)))
@@ -313,41 +308,3 @@ class TestPerturb:
             with pytest.raises(ContractError):
                 fw.perturb_control(a, a, eps)
 
-    def test_bounds_carry_when_shared(self):
-        a = fw.ControlProcess(values=np.array([0.2]), bounds=(0.0, 1.0))
-        b = fw.ControlProcess(values=np.array([0.8]), bounds=(0.0, 1.0))
-        assert fw.perturb_control(a, b, 0.5).bounds == (0.0, 1.0)
-
-
-class TestCheckPartials:
-    def test_correct_partials_pass(self):
-        report = fw.check_partials(wealth_coeffs(), 0, [0.5, 1.5], [0.1, 0.9])
-        assert max(report.values()) < 1e-6, report
-
-    def test_wrong_partial_flagged(self):
-        broken = fw.CoefficientSet(
-            b=lambda n, x, u: x * x,
-            sigma=lambda n, x, u: 0.0,
-            b_x=lambda n, x, u: x,  # should be 2x
-            b_u=lambda n, x, u: 0.0,
-            sigma_x=lambda n, x, u: 0.0,
-            sigma_u=lambda n, x, u: 0.0,
-        )
-        report = fw.check_partials(broken, 0, [1.0], [0.0])
-        assert report["b_x"] > 0.5
-
-
-class TestTrajectoryCsv:
-    def test_rows_and_roundtrip(self, tmp_path):
-        sys = fn.build_innovation_system(0.75, 4)
-        noise = fn.sample_ensemble(sys, seed=8, n_paths=3)
-        path = fw.simulate_state(wealth_coeffs(), fw.ControlProcess(values=np.full(4, 0.2)), noise, 1.0)
-        out = tmp_path / "traj.csv"
-        fw.write_trajectory_csv(path, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "path_id,n,X,u,xi"
-        assert len(lines) == 1 + 3 * 4
-        pid, n, x, u, xi = lines[1].split(",")
-        assert (pid, n) == ("0", "0")
-        assert float(x) == path.values[0, 0]
-        assert float(xi) == noise.xi[0, 0]

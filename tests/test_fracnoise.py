@@ -1,6 +1,9 @@
 """Tests for the fGn covariance, innovation representation, and prediction."""
 
 import dataclasses
+import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 from fracctrl import fracnoise as fn
-from fracctrl.errors import ContractError
+from fracctrl.errors import ContractError, NumericalError
 
 RHO_075_LAG1 = 0.41421356237309515  # 0.5*(2^1.5 - 2) = sqrt(2) - 1
 BETA_11 = 0.9101797211244547  # sqrt(1 - rho^2) for the 2x2 factor
@@ -45,6 +48,16 @@ class TestAutocovariance:
     def test_hurst_domain(self, h):
         with pytest.raises(ContractError):
             fn.fgn_autocovariance(h, 1)
+
+    @pytest.mark.parametrize("h", ["0.5", None, [0.5], np.nan, np.inf, True])
+    def test_hurst_must_be_a_finite_number(self, h):
+        for call in (lambda: fn.fgn_autocovariance(h, 1), lambda: fn.build_innovation_system(h, 4)):
+            with pytest.raises(ContractError, match="Hurst index must be a finite number"):
+                call()
+
+    def test_numpy_hurst_is_accepted(self):
+        assert fn.fgn_autocovariance(np.float64(0.5), 1) == 0.0
+        assert fn.build_innovation_system(np.float64(0.75), 4).hurst == 0.75
 
     def test_lag_domain(self):
         with pytest.raises(ContractError):
@@ -190,7 +203,8 @@ class TestSampling:
         assert np.array_equal(
             fn.prediction_matrix(sys, xi, horizon), fn.prediction_matrix(sys, path_major, horizon)
         )
-        assert np.array_equal(fn.whiten(sys, xi), fn.whiten(sys, path_major))
+        alpha_t = sys.alpha.T
+        assert np.array_equal(xi @ alpha_t, path_major @ alpha_t)
 
     def test_truncated_sampling_matches_small_system(self):
         # the first two increments only see the leading 2x2 block of beta
@@ -211,13 +225,13 @@ class TestSampling:
     def test_whiten_roundtrip(self):
         sys = fn.build_innovation_system(0.3, 48)
         ens = fn.sample_ensemble(sys, seed=5, n_paths=200)
-        eta = fn.whiten(sys, ens.xi)
+        eta = ens.xi @ sys.alpha.T
         assert np.max(np.abs(eta - ens.eta)) < 1e-12
 
     def test_innovation_whiteness(self):
         sys = fn.build_innovation_system(0.75, 16)
         ens = fn.sample_ensemble(sys, seed=99, n_paths=100_000)
-        eta = fn.whiten(sys, ens.xi)
+        eta = ens.xi @ sys.alpha.T
         cov = np.cov(eta, rowvar=False)
         m = ens.n_paths
         off = cov - np.eye(16)
@@ -358,6 +372,23 @@ class TestGaussianAbsMoment:
             fn.gaussian_abs_moment(0)
         with pytest.raises(ContractError):
             fn.gaussian_abs_moment(-2)
+
+    @pytest.mark.parametrize("m", [np.nan, np.inf, -np.inf, "3", None, True])
+    def test_moment_order_must_be_a_finite_number(self, m):
+        with pytest.raises(ContractError, match="moment order must be a finite number"):
+            fn.gaussian_abs_moment(m)
+
+    @pytest.mark.parametrize("m", [302.0, 340.0, 401.0, 1e6, 1e308])
+    def test_overflow_is_a_numerical_error_naming_m(self, m):
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match=re.escape(f"moment order m={m}")) as caught:
+            fn.gaussian_abs_moment(m)
+        assert time.perf_counter() - start < 0.1
+        assert caught.value.detail == {"m": m}
+
+    def test_largest_moments_are_finite(self):
+        assert fn.gaussian_abs_moment(300) == float(math.prod(range(1, 300, 2)))
+        assert np.isfinite(fn.gaussian_abs_moment(301.3))
 
 
 class TestLoadingsCsv:

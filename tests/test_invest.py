@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from fracctrl import invest as invest_module
 from fracctrl.errors import ContractError, NumericalError
-from fracctrl.forward import ControlProcess, check_partials, simulate_state, simulate_variation
+from fracctrl.forward import ControlProcess, simulate_state, simulate_variation
 from fracctrl.fracnoise import (
     NoiseEnsemble,
     build_innovation_system,
@@ -152,13 +152,26 @@ class TestConfig:
 
 
 class TestCoefficients:
-    def test_drift_partials_match_finite_differences(self):
+    def test_drift_partials_match_closed_forms(self):
         cfg = small_config()
         coeffs = coefficient_set(cfg)
-        for n in (0, cfg.consumption_period):  # plain and consumption step
-            report = check_partials(coeffs, n, x=[1.3, 0.4], u=[0.2, 0.1])
-            for name, err in report.items():
+        x, u = np.array([1.3, 0.4]), np.array([0.2, 0.1])
+        for n, chi in ((0, 0.0), (cfg.consumption_period, 1.0)):  # plain and consumption step
+            # b = ((1 + r)(1 - c chi_n) - 1) x + (mu - r) u and sigma = sigma u
+            # are linear in (x, u), so each is its partials' combination.
+            closed = {
+                "b_x": (1 + cfg.r) * (1 - cfg.c * chi) - 1,
+                "b_u": cfg.mu - cfg.r,
+                "sigma_x": 0.0,
+                "sigma_u": cfg.sigma,
+            }
+            for name, want in closed.items():
+                err = np.max(np.abs(getattr(coeffs, name)(n, x, u) - want))
                 assert err < 1e-8, f"partial {name} off by {err} at step {n}"
+            for func, wrt_x, wrt_u in (("b", "b_x", "b_u"), ("sigma", "sigma_x", "sigma_u")):
+                linear = closed[wrt_x] * x + closed[wrt_u] * u
+                err = np.max(np.abs(getattr(coeffs, func)(n, x, u) - linear))
+                assert err < 1e-8, f"{func} is not its partials' combination at step {n}"
 
     def test_consumption_step_drift(self):
         cfg = small_config()

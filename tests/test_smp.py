@@ -41,7 +41,6 @@ from fracctrl.smp import (
     solve_adjoint_k,
     solve_adjoint_pq,
     solve_variational,
-    verify_convexity,
 )
 
 # Investment-cost adjoint with consumption at {2}, N = 2 (frozen recursion):
@@ -187,12 +186,12 @@ class TestIntegerArguments:
                 np.ones(3), np.zeros(3), 0.0, 1.0, n_trials=value
             ),
             "bracket truncation": lambda: bracket_values(*bracket_args, truncation=value),
-            "n_pairs": lambda: verify_convexity(
-                lambda x, u: x**2, lambda rng, size: (rng.random(size), rng.random(size)), value
+            "seed": lambda: check_necessary_condition(
+                np.ones(3), np.zeros(3), 0.0, 1.0, n_trials=2, seed=value
             ),
         }
 
-    NAMES = ["n_steps", "truncation", "n_trials", "bracket truncation", "n_pairs"]
+    NAMES = ["n_steps", "truncation", "n_trials", "bracket truncation", "seed"]
 
     @pytest.mark.parametrize("value", [2.5, 7.9, True, "3"])
     @pytest.mark.parametrize("name", NAMES)
@@ -676,6 +675,9 @@ class TestNecessaryCheck:
             check_necessary_condition(np.ones(3), np.zeros(3), 1.0, 0.0)
         with pytest.raises(ContractError, match="n_trials"):
             check_necessary_condition(np.ones(3), np.zeros(3), 0.0, 1.0, n_trials=-1)
+        for n_trials in (0, 2):
+            with pytest.raises(ContractError, match="seed must be >= 0"):
+                check_necessary_condition(np.ones(3), np.zeros(3), 0.0, 1.0, n_trials=n_trials, seed=-1)
 
     # Entries that make ties (signed zeros included), NaN and inf products,
     # and many violations.
@@ -782,31 +784,6 @@ def assert_same_report(got, want):
         for r in (got, want)
     ]
     assert np.array_equal(*numbers, equal_nan=True)
-
-
-class TestConvexity:
-    @staticmethod
-    def sampler(rng, size):
-        return rng.standard_normal(size), rng.standard_normal(size)
-
-    def test_quadratic_bowl_is_convex(self):
-        report = verify_convexity(lambda x, u: x**2 + u**2, self.sampler, seed=8)
-        assert report["convex"] is True and report["n_violations"] == 0
-
-    def test_affine_is_convex(self):
-        report = verify_convexity(lambda x, u: 2.0 * x - 3.0 * u + 1.0, self.sampler, seed=9)
-        assert report["convex"] is True
-
-    def test_needs_at_least_one_pair(self):
-        with pytest.raises(ContractError, match="n_pairs must be >= 1"):
-            verify_convexity(lambda x, u: x**2, self.sampler, n_pairs=0)
-
-    def test_concave_bump_is_reported_honestly(self):
-        report = verify_convexity(lambda x, u: -(u**2), self.sampler, seed=10)
-        assert report["convex"] is False
-        assert report["max_gap"] > 0
-        assert report["violations"][0]["gap"] > 0
-        json.dumps(report)
 
 
 class TestVariationalDuality:

@@ -11,34 +11,6 @@ BOUND_THETA3 = 0.876998497358217  # exp(-1/8 - 1/160)
 CONST_NORM_N5 = 1.386318602413326  # sum exp(-n^2), n = 0..5
 
 
-class TestDeltaTerm:
-    def test_frozen_values(self):
-        np.testing.assert_allclose(sp.delta_term(2.0, 1), 8.0 / 9.0, rtol=1e-15)
-        np.testing.assert_allclose(sp.delta_term(1.5, 2), 0.875, rtol=1e-15)
-
-    @pytest.mark.parametrize("theta", [1.1, 2.0, 5.0])
-    def test_open_unit_interval(self, theta):
-        terms = np.array([sp.delta_term(theta, n) for n in range(1, 200)])
-        assert np.all((terms > 0) & (terms < 1))
-        assert np.all(np.diff(terms) > 0), "terms increase toward 1"
-
-    def test_domain(self):
-        with pytest.raises(ContractError):
-            sp.delta_term(1.0, 1)
-        with pytest.raises(ContractError):
-            sp.delta_term(2.0, 0)
-        for n in (1.9, 2.0, True):
-            with pytest.raises(ContractError, match="term index"):
-                sp.delta_term(2.0, n)
-        for n_max in (-1, 2.7, None):
-            with pytest.raises(ContractError, match="n_max"):
-                sp.delta_products(2.0, n_max)
-        assert sp.delta_term(2.0, np.int64(1)) == sp.delta_term(2.0, 1)
-        for theta in (np.nan, np.inf, True, "2.0"):
-            with pytest.raises(ContractError, match="theta"):
-                sp.product_lower_bound(theta)
-
-
 class TestProducts:
     def test_initial_and_monotone(self):
         s = sp.delta_products(2.0, 500)
@@ -63,6 +35,14 @@ class TestProducts:
         # prod (1 - (i+2)^-2) telescopes to (2/3)(n+3)/(n+2)
         s = sp.delta_products(2.0, 1_000_000)
         np.testing.assert_allclose(s[-1], 2.0 / 3.0, rtol=1e-5)
+
+    def test_domain(self):
+        for n_max in (-1, 2.7, None):
+            with pytest.raises(ContractError, match="n_max"):
+                sp.delta_products(2.0, n_max)
+        for theta in (np.nan, np.inf, True, "2.0", 1.0):
+            with pytest.raises(ContractError, match="theta"):
+                sp.product_lower_bound(theta)
 
 
 class TestWeightedNorm:
@@ -110,11 +90,6 @@ class TestWeightedNorm:
         params = sp.WeightedNormParams(lam=1.0, gamma_exp=2.0, base_power=2.0)
         np.testing.assert_array_equal(params.exponents(5), np.full(6, 2.0))
 
-    def test_float_protocol(self):
-        params = sp.WeightedNormParams(lam=1.0, gamma_exp=2.0, base_power=2.0)
-        res = sp.weighted_norm(np.ones(3), params)
-        assert float(res) == res.value
-
     def test_param_validation(self):
         with pytest.raises(ContractError):
             sp.WeightedNormParams(lam=0.0, gamma_exp=2.0, base_power=2.0)
@@ -150,9 +125,3 @@ class TestWeightedNorm:
         with pytest.raises(ContractError, match=field):
             sp.WeightedNormParams(**kwargs)
 
-
-class TestCompatibility:
-    def test_certificate(self):
-        assert sp.is_compatible(3.0, 1.0, 2.0)
-        assert not sp.is_compatible(1.0, 1.0, 2.0)  # 1 * 0.5818^2 < 1
-        assert not sp.is_compatible(100.0, 0.5, 2.0)  # b must be >= 1
