@@ -49,8 +49,8 @@ from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
 
+from ._lapack import potrf, potrs
 from .errors import ContractError, NumericalError, require
 from .forward import StatePath
 from .fracnoise import InnovationSystem, prediction_matrix
@@ -216,16 +216,18 @@ def _semi_normal_fit(design: np.ndarray, gram: np.ndarray, moments: np.ndarray, 
     or the condition number exceeds SEMI_NORMAL_MAX_COND.
     """
     rows = design.T
+    factor = np.array(gram, order="F")
+    if potrf(factor, lower=False) != 0:
+        return None
     try:
-        factor = cholesky(gram, check_finite=False)
         singular = np.linalg.svd(factor, compute_uv=False)
     except np.linalg.LinAlgError:
         return None
     if not singular[0] <= SEMI_NORMAL_MAX_COND * singular[-1]:
         return None
-    coef = cho_solve((factor, False), moments, check_finite=False)
+    coef = potrs(factor, moments, lower=False)
     # (coef^T design^T)^T: each fitted column comes out contiguous.
-    coef += cho_solve((factor, False), rows @ (targets - (coef.T @ rows).T), check_finite=False)
+    coef += potrs(factor, rows @ (targets - (coef.T @ rows).T), lower=False)
     return (coef.T @ rows).T, singular
 
 

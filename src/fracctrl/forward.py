@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ContractError, NumericalError
+from .errors import ContractError, NumericalError, require
 from .fracnoise import NoiseEnsemble
 
 __all__ = [
@@ -189,6 +189,7 @@ def _control_values(u) -> np.ndarray:
 
 def perturb_control(u_star, u_tilde, eps: float) -> ControlProcess:
     """Convex perturbation (1 - eps) u* + eps u~ for eps in [0, 1]."""
+    require("eps", eps, float)
     eps = float(eps)
     if not 0.0 <= eps <= 1.0:
         raise ContractError(f"eps must lie in [0, 1], got {eps}")

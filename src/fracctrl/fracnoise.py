@@ -39,13 +39,14 @@ generator (ziggurat standard normals), fixed for this build so that identical
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.linalg.lapack import dpotrf
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._csv import write_csv
+from ._lapack import potrf
 from .errors import ContractError, NumericalError, require
 
 __all__ = [
@@ -73,12 +74,20 @@ def _check_hurst(h: float) -> float:
 def fgn_autocovariance(h: float, lag):
     """Autocovariance rho_H(lag) of unit-step fractional Gaussian noise.
 
-    ``lag`` may be a nonnegative integer or an array of them.  rho_H(0) = 1 for
-    every H, and rho_H(k) = 0 for all k >= 1 iff H = 1/2.
+    ``lag`` may be a nonnegative integer or an array of them; a bool, a
+    string, None or a non-numeric array raises ContractError, though numpy
+    would read each as a number.  rho_H(0) = 1 for every H, and
+    rho_H(k) = 0 for all k >= 1 iff H = 1/2.
     """
     h = _check_hurst(h)
-    k = np.asarray(lag, dtype=float)
-    if np.any(k < 0) or np.any(k != np.floor(k)):
+    k = np.asarray(lag)
+    # An object array holds Python integers past int64, or None.
+    if k.dtype.kind not in "iuf" and not (
+        k.dtype.kind == "O" and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in k.flat)
+    ):
+        raise ContractError(f"lag must be a nonnegative integer or an array of them, got {lag!r}")
+    k = k.astype(float)
+    if np.any(k < 0) or np.any(k != np.floor(k)) or np.any(np.isinf(k)):
         raise ContractError("lag must be a nonnegative integer")
     two_h = 2.0 * h
     rho = 0.5 * (np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h)
@@ -92,7 +101,14 @@ def autocovariance_matrix(h: float, n: int) -> np.ndarray:
     require("matrix order", n, int)
     if n < 1:
         raise ContractError(f"matrix order must be >= 1, got {n}")
-    return toeplitz(fgn_autocovariance(h, np.arange(n)))
+    return _toeplitz(fgn_autocovariance(h, np.arange(n)))
+
+
+def _toeplitz(rho: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix with first column ``rho``, C-order:
+    row i is a window of (rho reversed, rho[1:]), copied once."""
+    values = np.concatenate((rho[::-1], rho[1:]))
+    return sliding_window_view(values, rho.shape[0])[::-1].copy()
 
 
 @dataclass(frozen=True)
@@ -160,9 +176,10 @@ def build_innovation_system(h: float, horizon: int) -> InnovationSystem:
     if horizon < 1:
         raise ContractError(f"horizon must be >= 1, got {horizon}")
     rho = fgn_autocovariance(h, np.arange(horizon))
-    # toeplitz(rho) is exactly symmetric, so its transpose is the same matrix
+    # _toeplitz(rho) is exactly symmetric, so its transpose is the same matrix
     # in Fortran order, which dpotrf factors in place without a copy.
-    beta, info = dpotrf(toeplitz(rho).T, lower=1, clean=1, overwrite_a=1)
+    beta = _toeplitz(rho).T
+    info = potrf(beta, lower=True)
     if info != 0:
         raise NumericalError(
             f"Cholesky factorization of the fGn covariance failed at pivot {info} "

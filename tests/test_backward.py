@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fracctrl import ContractError, NumericalError
+from fracctrl import ContractError, NumericalError, backward
 from fracctrl._csv import write_csv
 from fracctrl.backward import (
     BsdeSolution,
@@ -343,6 +343,40 @@ class TestConditionalExpectation:
         assert health["fallback"] is True
         assert np.array_equal(health["singular_values"], singular)
         assert np.array_equal(fitted, design @ coef), "the fallback is the plain SVD solve"
+
+    def test_singular_gram_takes_the_svd_solve(self):
+        # A zero column stops the Cholesky factorization at its pivot.
+        rng = np.random.default_rng(3)
+        design = np.asfortranarray(np.column_stack([np.ones(500), rng.standard_normal(500), np.zeros(500)]))
+        targets = rng.standard_normal((500, 2))
+        gram = design.T @ design
+        assert backward._semi_normal_fit(design, gram, design.T @ targets, targets) is None
+        feats = np.column_stack([rng.standard_normal(500), np.zeros(500)])
+        with pytest.raises(NumericalError, match="rank-deficient"):
+            conditional_expectation(targets, feats, "regression", 1)
+
+    def test_failed_factorization_takes_the_svd_solve(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        feats = rng.standard_normal((800, 2))
+        targets = rng.standard_normal((800, 2)) + feats[:, :1] ** 2
+        monkeypatch.setattr(backward, "potrf", lambda a, lower: 3)
+        health = {}
+        fitted = conditional_expectation(targets, feats, "regression", health=health)
+        design, _ = reference_design(feats, 2)
+        coef, _, _, singular = np.linalg.lstsq(design, targets, rcond=None)
+        assert health["fallback"] is True
+        assert np.array_equal(health["singular_values"], singular)
+        assert np.array_equal(fitted, design @ coef)
+
+    def test_semi_normal_fit_leaves_the_gram_matrix_alone(self):
+        # The design a solve keeps holds its Gram matrix across steps.
+        rng = np.random.default_rng(6)
+        design = np.asfortranarray(np.column_stack([np.ones(300), rng.standard_normal((300, 3))]))
+        targets = rng.standard_normal(300)
+        gram = design.T @ design
+        kept = gram.copy()
+        assert backward._semi_normal_fit(design, gram, design.T @ targets, targets) is not None
+        assert np.array_equal(gram, kept)
 
     @settings(max_examples=40, deadline=None)
     @given(

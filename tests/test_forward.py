@@ -308,3 +308,9 @@ class TestPerturb:
             with pytest.raises(ContractError):
                 fw.perturb_control(a, a, eps)
 
+    @pytest.mark.parametrize("eps", ["0.5", None, [0.5]])
+    def test_eps_must_be_a_finite_number(self, eps):
+        a = np.zeros(2)
+        with pytest.raises(ContractError, match="eps must be a finite number"):
+            fw.perturb_control(a, a, eps)
+

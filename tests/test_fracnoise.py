@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
+from scipy.linalg import solve_triangular, toeplitz
 from scipy.linalg.lapack import dpotrf
 
 from fracctrl import fracnoise as fn
@@ -64,6 +64,35 @@ class TestAutocovariance:
             fn.fgn_autocovariance(0.75, -1)
         with pytest.raises(ContractError):
             fn.fgn_autocovariance(0.75, 1.5)
+
+    @pytest.mark.parametrize("lag", ["1", True, None, ["1", "2"], np.array(["1"]), [1, None], np.array([True, False])])
+    def test_lag_must_be_numeric(self, lag):
+        # numpy reads each of these as a number, so each was taken as a lag
+        with pytest.raises(ContractError, match="lag must be a nonnegative integer or an array of them"):
+            fn.fgn_autocovariance(0.75, lag)
+
+    @pytest.mark.parametrize("lag", [np.inf, np.nan, [1.0, np.inf]])
+    def test_lag_must_be_finite(self, lag):
+        # an infinite lag returned NaN
+        with pytest.raises(ContractError, match="lag must be a nonnegative integer"):
+            fn.fgn_autocovariance(0.75, lag)
+
+    def test_integral_lags_of_every_kind_agree(self):
+        expected = fn.fgn_autocovariance(0.75, np.arange(4))
+        for lags in ([0, 1, 2, 3], [0.0, 1.0, 2.0, 3.0], np.arange(4, dtype=np.int32), np.arange(4, dtype=np.uint8)):
+            assert np.array_equal(fn.fgn_autocovariance(0.75, lags), expected)
+        for lag in (1, 1.0, np.int64(1), np.float32(1)):
+            assert fn.fgn_autocovariance(0.75, lag) == RHO_075_LAG1
+        # Python integers past int64 reach numpy as an object array.
+        assert fn.fgn_autocovariance(0.75, 2**70) == fn.fgn_autocovariance(0.75, float(2**70))
+        assert np.array_equal(fn.fgn_autocovariance(0.75, [1, 2**70]), fn.fgn_autocovariance(0.75, [1.0, 2.0**70]))
+
+    @pytest.mark.parametrize("h", [0.1, 0.5, 0.75])
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_matrix_is_scipys_toeplitz(self, h, n):
+        matrix = fn.autocovariance_matrix(h, n)
+        assert matrix.flags.c_contiguous and matrix.flags.writeable
+        assert np.array_equal(matrix, toeplitz(fn.fgn_autocovariance(h, np.arange(n))))
 
     def test_matrix_order_domain(self):
         with pytest.raises(ContractError):
@@ -140,16 +169,33 @@ class TestInnovationSystem:
         dense = np.tril(sys.beta, -1) @ solve_triangular(sys.beta, np.eye(horizon), lower=True)
         assert np.max(np.abs(sys.gamma - dense)) <= 1e-13
 
-    @pytest.mark.parametrize("h", [0.1, 0.75])
-    def test_beta_is_the_cholesky_factor_bit_for_bit(self, h):
-        sys = fn.build_innovation_system(h, 200)
-        beta, info = dpotrf(fn.autocovariance_matrix(h, 200), lower=1, clean=1)
+    @pytest.mark.parametrize(
+        "h,horizon",
+        [pytest.param(h, 200, id=str(h)) for h in (0.1, 0.75)]
+        + [pytest.param(h, 200, id=f"{h}-200") for h in (0.25, 0.9)]
+        + [pytest.param(h, n, id=f"{h}-{n}") for h in (0.1, 0.25, 0.75, 0.9) for n in (1, 2, 129, 300, 1701, 2048)],
+    )
+    def test_beta_is_the_cholesky_factor_bit_for_bit(self, h, horizon):
+        # scipy's own wrapper of the dpotrf that fracctrl binds
+        sys = fn.build_innovation_system(h, horizon)
+        beta, info = dpotrf(toeplitz(fn.fgn_autocovariance(h, np.arange(horizon))), lower=1, clean=1)
         assert info == 0
         assert np.array_equal(sys.beta, beta)
         ens = fn.sample_ensemble(sys, seed=31, n_paths=40)
-        eta = np.random.default_rng(31).standard_normal((40, 200))
+        eta = np.random.default_rng(31).standard_normal((40, horizon))
         assert np.array_equal(ens.eta, eta)
         assert np.array_equal(ens.xi, eta @ beta.T)
+
+    @pytest.mark.parametrize("lag,value", [(1, 1.5), (1, -1.0), (3, 0.99), (6, 0.95), (9, -0.9)])
+    def test_lost_definiteness_names_scipys_pivot(self, monkeypatch, lag, value):
+        rho = fn.fgn_autocovariance(0.75, np.arange(12))
+        rho[lag] = value
+        _, info = dpotrf(toeplitz(rho), lower=1, clean=1)
+        assert info > 0, "the corrupted covariance should not be positive definite"
+        monkeypatch.setattr(fn, "fgn_autocovariance", lambda h, lag: rho.copy())
+        with pytest.raises(NumericalError, match=f"pivot {info} ") as caught:
+            fn.build_innovation_system(0.75, 12)
+        assert caught.value.pivot_index == info
 
     @settings(max_examples=60, deadline=None)
     @given(h=st.floats(0.01, 0.99), horizon=st.integers(2, 256), data=st.data())
