@@ -7,14 +7,14 @@ The backward pair (Y, Z) solves, step by step for n = N-1, ..., 0,
 
     d_{n+1} = exp(-lam * ((n+1)^gamma_exp - n^gamma_exp)),
 
-with terminal condition Y_N = 0 and the terminal step using the reduced driver
-f1 (default: f evaluated at z = 0, flagged in diagnostics).  The equation holds
-in projection: Y_n is the conditional expectation of the right side given F_n
-and Z_n the conditional expectation of eta_n times it, eta_n being the step-n
-innovation.  This is the discounted change of variables solved in place; the
-per-step ratio form keeps every intermediate at the scale of Y itself, which
-matters because exp(+lam * n^gamma_exp) overflows float64 long before the
-horizons of interest when the discount is steep.
+with terminal condition Y_N = 0; Z_N does not exist, so the terminal step
+evaluates f and g at z = 0.  The equation holds in projection: Y_n is the
+conditional expectation of the right side given F_n and Z_n the conditional
+expectation of eta_n times it, eta_n being the step-n innovation.  This is
+the discounted change of variables solved in place; the per-step ratio form
+keeps every intermediate at the scale of Y itself, which matters because
+exp(+lam * n^gamma_exp) overflows float64 long before the horizons of
+interest when the discount is steep.
 
 Two backends realize the conditional expectations:
 
@@ -70,12 +70,10 @@ class DriverSpec:
     """Driver of a backward equation.
 
     ``f(n, x, y, z, u)`` is the generator; the optional ``g(n, x, y, z, u)``
-    multiplies the predicted next increment.  ``f1(n, y)`` is the reduced
-    terminal driver; without it the terminal step evaluates f at z = 0.  g is
-    always evaluated at z = 0 there.  The solution diagnostics record both
-    defaults.
+    multiplies the predicted next increment.  The terminal step evaluates
+    both at z = 0.
     Along a state ensemble x, y, z and u are per-path arrays; a solve with
-    no state calls f and f1 with Python floats (x = z = 0, u NaN past the
+    no state calls f with Python floats (x = z = 0, u NaN past the
     controls) and needs a float back.  The optional control partial f_u
     follows the signature of f.  The bracket calls it once per block of
     paths over all steps: n is then the array of step indices 0..N and x,
@@ -85,13 +83,16 @@ class DriverSpec:
 
     f: Callable
     g: Optional[Callable] = None
-    f1: Optional[Callable] = None
     f_u: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
 class BsdeSolution:
-    """Backward pair on a truncated horizon: y over 0..N, z over 0..N-1."""
+    """Backward pair on a truncated horizon: y over 0..N, z over 0..N-1.
+
+    ``diagnostics`` holds the regression fits' health (``fit_min_singular``,
+    ``fit_max_cond``, ``fit_fallbacks``); it is empty for an exact solve.
+    """
 
     y: np.ndarray
     z: np.ndarray
@@ -335,11 +336,7 @@ def _one_path(driver: DriverSpec, ratios: list, control_values) -> list:
     y = [0.0] * (n_trunc + 1)
     for n in range(n_trunc - 1, -1, -1):
         m = n + 1
-        if m == n_trunc and driver.f1 is not None:
-            f_val = driver.f1(m, y[m])
-        else:
-            f_val = driver.f(m, 0.0, y[m], 0.0, u[m])
-        target = ratios[n] * (y[m] + f_val)
+        target = ratios[n] * (y[m] + driver.f(m, 0.0, y[m], 0.0, u[m]))
         if not math.isfinite(target):
             raise NumericalError(_NON_FINITE.format(n))
         y[n] = 0.5 * (target + target)
@@ -411,23 +408,17 @@ def solve_truncated(
             raise ContractError("a g-term needs noise paths; solve along a simulated state")
         predictions = prediction_matrix(sys, xi, n_trunc)
 
-    diagnostics = {
-        "used_default_terminal": driver.f1 is None,
-        "used_default_terminal_noise": driver.g is not None,
-        "window": window,
-        "degree": degree,
-    }
     if state is None:
         y = _one_path(driver, ratios.tolist(), control_values)
         return BsdeSolution(
             y=np.array([y]), z=np.zeros((1, n_trunc)), lam=lam, gamma_exp=gamma_exp,
-            backend=backend, diagnostics=diagnostics,
+            backend=backend,
         )
 
-    # Step-major buffers: each step reads and writes one contiguous row.
+    # Step-major buffers: each step reads and writes one contiguous row.  Row
+    # N of z stays zero: the terminal step evaluates f and g at z = 0.
     y = np.zeros((n_trunc + 1, n_paths))
-    z = np.zeros((n_trunc, n_paths))
-    zeros = np.zeros(n_paths)
+    z = np.zeros((n_trunc + 1, n_paths))
     # One design for the whole solve; its targets hold a step's Y and Z targets.
     cache = None if backend == "exact" else _Design(n_paths, min(window, n_trunc - 1), degree, 2)
     health = {}
@@ -436,13 +427,8 @@ def solve_truncated(
         m = n + 1
         x_m = x_all[:, m]
         u_m = _control_at(control_values, m, n_paths)
-        y_m = y[m]
-        terminal = m == n_trunc
-        z_m = zeros if terminal else z[m]
-        if terminal and driver.f1 is not None:
-            f_val = driver.f1(m, y_m)
-        else:
-            f_val = driver.f(m, x_m, y_m, z_m, u_m)
+        y_m, z_m = y[m], z[m]
+        f_val = driver.f(m, x_m, y_m, z_m, u_m)
         g_val = None if driver.g is None else driver.g(m, x_m, y_m, z_m, u_m)
         target = ratios[n] * (y_m + f_val)
         if g_val is not None:
@@ -472,12 +458,11 @@ def solve_truncated(
             cond_max = max(cond_max, float(singular[0] / singular[-1]))
             fallbacks += health["fallback"]
 
-    if backend != "exact":
-        diagnostics.update(
-            fit_min_singular=singular_min, fit_max_cond=cond_max, fit_fallbacks=fallbacks
-        )
+    diagnostics = {} if backend == "exact" else dict(
+        fit_min_singular=singular_min, fit_max_cond=cond_max, fit_fallbacks=fallbacks
+    )
     return BsdeSolution(
-        y=y.T, z=z.T, lam=lam, gamma_exp=gamma_exp, backend=backend, diagnostics=diagnostics
+        y=y.T, z=z[:n_trunc].T, lam=lam, gamma_exp=gamma_exp, backend=backend, diagnostics=diagnostics
     )
 
 

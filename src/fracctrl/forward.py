@@ -138,6 +138,9 @@ def simulate_state(
     """
     xi = noise.xi
     n_paths, n_steps = xi.shape
+    shape = None if control.values is None else control.values.shape
+    if shape is not None and len(shape) == 2 and shape[0] not in (1, n_paths):
+        raise ContractError(f"control values of shape {shape} do not match the noise's {xi.shape}")
     values = np.empty((n_steps + 1, n_paths))
     controls = np.empty((n_steps, n_paths))
     values[0] = _initial_states(x0, n_paths)
@@ -164,6 +167,8 @@ def simulate_variation(coeffs: CoefficientSet, state: StatePath, direction) -> S
     xi = state.noise.xi
     n_paths, n_steps = xi.shape
     v = np.asarray(direction, dtype=float)
+    if v.ndim not in (1, 2) or v.ndim == 2 and v.shape[0] not in (1, n_paths):
+        raise ContractError(f"direction must have shape (steps,) or ({n_paths}, steps), got {v.shape}")
     if v.ndim == 1:
         v = np.broadcast_to(v, (n_paths, v.shape[0]))
     if v.shape[1] < n_steps:

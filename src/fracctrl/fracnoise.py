@@ -63,6 +63,10 @@ __all__ = [
 ]
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+_LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
+
+
 def _check_hurst(h: float) -> float:
     require("Hurst index", h, float)
     h = float(h)
@@ -74,26 +78,40 @@ def _check_hurst(h: float) -> float:
 def fgn_autocovariance(h: float, lag):
     """Autocovariance rho_H(lag) of unit-step fractional Gaussian noise.
 
-    ``lag`` may be a nonnegative integer or an array of them; a bool, a
-    string, None or a non-numeric array raises ContractError, though numpy
-    would read each as a number.  rho_H(0) = 1 for every H, and
-    rho_H(k) = 0 for all k >= 1 iff H = 1/2.
+    ``lag`` may be a nonnegative integer or an array of them; a bool (also
+    one inside a list or tuple), a string, None or a non-numeric array
+    raises ContractError, though numpy would read each as a number.  A lag
+    whose terms |lag +- 1|^{2H} overflow a float raises NumericalError
+    naming it.  rho_H(0) = 1 for every H, and rho_H(k) = 0 for all k >= 1
+    iff H = 1/2.
     """
     h = _check_hurst(h)
-    k = np.asarray(lag)
-    # An object array holds Python integers past int64, or None.
-    if k.dtype.kind not in "iuf" and not (
-        k.dtype.kind == "O" and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in k.flat)
+    lags = np.asarray(lag)
+    # An object array holds Python integers past int64, or None.  Past the
+    # float range an integer stands at the float maximum, whose powers overflow.
+    if _holds_bool(lag) or lags.dtype.kind not in "iuf" and not (
+        lags.dtype.kind == "O" and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in lags.flat)
     ):
         raise ContractError(f"lag must be a nonnegative integer or an array of them, got {lag!r}")
-    k = k.astype(float)
+    k = np.asarray(np.clip(lags, -_FLOAT_MAX, _FLOAT_MAX) if lags.dtype.kind == "O" else lags, dtype=float)
     if np.any(k < 0) or np.any(k != np.floor(k)) or np.any(np.isinf(k)):
         raise ContractError("lag must be a nonnegative integer")
     two_h = 2.0 * h
-    rho = 0.5 * (np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = 0.5 * (np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h)
+    if not np.isfinite(rho).all():
+        lag = lags.ravel().tolist()[int(np.argmin(np.isfinite(rho)))]
+        raise NumericalError(f"the fGn autocovariance overflows a float at lag {lag}", detail={"lag": lag})
     if np.isscalar(lag) or np.ndim(lag) == 0:
         return float(rho)
     return rho
+
+
+def _holds_bool(lag) -> bool:
+    """Whether ``lag`` is or holds a bool, in lists and tuples at any depth."""
+    if isinstance(lag, (list, tuple)):
+        return any(map(_holds_bool, lag))
+    return isinstance(lag, (bool, np.bool_)) or isinstance(lag, np.ndarray) and lag.dtype.kind == "b"
 
 
 def autocovariance_matrix(h: float, n: int) -> np.ndarray:
@@ -204,10 +222,6 @@ class NoiseEnsemble:
     eta: np.ndarray
     xi: np.ndarray
 
-    @property
-    def n_paths(self) -> int:
-        return self.xi.shape[0]
-
 
 # Entries of the product per block of paths in _step_major's transposing
 # copy: 256 KB, which stays in cache.
@@ -260,43 +274,44 @@ def sample_ensemble(
     return NoiseEnsemble(seed=int(seed), eta=eta, xi=xi)
 
 
-def predict_next(system: InnovationSystem, prefix) -> float | np.ndarray:
-    """E[xi_n | xi_0, ..., xi_{n-1}] where n is the prefix length.
+def predict_next(system: InnovationSystem, prefix) -> np.ndarray:
+    """E[xi_n | xi_0, ..., xi_{n-1}] on each path, n being the prefix length.
 
-    ``prefix`` is one path (shape (n,)) or an ensemble (shape (M, n)); the
-    empty prefix yields the unconditional mean 0.  Requires n <= horizon - 1
-    so that prediction row n exists.  The order of the sum over k follows the
+    ``prefix`` has shape (paths, n), one row per path; the empty prefix
+    yields the unconditional mean 0.  Requires n <= horizon - 1 so that
+    prediction row n exists.  The order of the sum over k follows the
     prefix's memory layout, so a Fortran-order prefix (a slice of
     sample_ensemble's xi) and a C-order copy of it may differ in the last
     bits; tests bound the difference by 1e-14 of sum_k |xi_k gamma(n, k)|.
     """
     prefix = np.asarray(prefix, dtype=float)
-    if prefix.ndim not in (1, 2):
-        raise ContractError(f"prefix must be 1- or 2-dimensional, got shape {prefix.shape}")
-    n = prefix.shape[-1]
+    if prefix.ndim != 2:
+        raise ContractError(f"prefix must have shape (paths, steps), got {prefix.shape}")
+    n = prefix.shape[1]
     if n > system.horizon - 1:
         raise ContractError(
             f"prefix of length {n} needs prediction row {n}; system horizon "
             f"{system.horizon} only provides rows up to {system.horizon - 1}"
         )
     if n == 0:
-        return 0.0 if prefix.ndim == 1 else np.zeros(prefix.shape[0])
-    out = prefix @ system.gamma[n, :n]
-    return float(out) if prefix.ndim == 1 else out
+        return np.zeros(prefix.shape[0])
+    return prefix @ system.gamma[n, :n]
 
 
 def prediction_matrix(system: InnovationSystem, xi, n_max: int) -> np.ndarray:
     """Stack predict_next over all prefix lengths n = 0, ..., n_max.
 
-    Column n of the result is E[xi_n | xi_0, ..., xi_{n-1}] for each path in
-    ``xi`` (shape (M, >= n_max)); column 0 is the unconditional mean 0.  The
-    values are those of the path-major product ``xi[:, :n_max] @
-    gamma[:n_max + 1, :n_max].T`` bit for bit, stored as the transpose of a
-    step-major (n_max + 1, M) buffer: column n is contiguous, and a window of
-    columns is Fortran-contiguous.
+    ``xi`` has shape (paths, >= n_max), one row per path.  Column n of the
+    result is E[xi_n | xi_0, ..., xi_{n-1}] on each path; column 0 is the
+    unconditional mean 0.  The values are those of the path-major product
+    ``xi[:, :n_max] @ gamma[:n_max + 1, :n_max].T`` bit for bit, stored as
+    the transpose of a step-major (n_max + 1, paths) buffer: column n is
+    contiguous, and a window of columns is Fortran-contiguous.
     """
     require("n_max", n_max, int)
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim != 2:
+        raise ContractError(f"xi must have shape (paths, steps), got {xi.shape}")
     if n_max < 0:
         raise ContractError(f"n_max must be >= 0, got {n_max}")
     if n_max > system.horizon - 1:
@@ -309,9 +324,6 @@ def prediction_matrix(system: InnovationSystem, xi, n_max: int) -> np.ndarray:
     # gamma is strictly lower triangular, so the terms past each prefix are
     # exact zeros and one product gives every column.
     return _step_major(xi[:, :n_max] @ system.gamma[: n_max + 1, :n_max].T)
-
-
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def gaussian_abs_moment(m: float) -> float:

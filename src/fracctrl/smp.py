@@ -229,6 +229,9 @@ def bracket_values(
             f"cost_solution covers {cost_solution.y.shape[1]} steps, the bracket range needs {n_cols}"
         )
     controls = state.controls if controls is None else np.asarray(controls, dtype=float)
+    for name, table in (("k", k), ("controls", controls)):
+        if table.ndim > 2 or table.ndim == 2 and table.shape[0] not in (1, n_paths):
+            raise ContractError(f"{name} must be a scalar, (steps,) or ({n_paths}, steps), got {table.shape}")
     if predictions is None:
         pred = prediction_matrix(sys, state.noise.xi, n_trunc)
     else:
@@ -310,9 +313,12 @@ def check_necessary_condition(
     as +0.0, whatever sign its corner product has), and the violations are
     the first ten.
     """
-    b, us, lo, hi = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (bracket, u_star, lower, upper))
-    )
+    arrays = [np.asarray(a, dtype=float) for a in (bracket, u_star, lower, upper)]
+    try:
+        b, us, lo, hi = np.broadcast_arrays(*arrays)
+    except ValueError:
+        shapes = ", ".join(f"{n} {a.shape}" for n, a in zip(("bracket", "u_star", "lower", "upper"), arrays))
+        raise ContractError(f"the certificate's inputs do not broadcast together: {shapes}") from None
     require("n_trials", n_trials, int)
     if n_trials < 0:
         raise ContractError(f"n_trials must be >= 0, got {n_trials}")
@@ -428,13 +434,15 @@ def solve_variational(
 def duality_gap(bracket, directions, variational: BsdeSolution) -> dict:
     """Compare E sum_n e^{-lam n^gamma} bracket_n v_n against Yhat_0.
 
-    ``bracket`` and ``directions`` cover n = 0..truncation (the bracket from
-    bracket_values already carries the degenerate terminal column); the
-    directions have shape (steps,) or one row per bracket row.  The terms are
-    formed in C order, so each path's sum runs in one fixed order whatever
-    the layouts of the bracket and the directions.
+    ``bracket`` (paths, steps) and ``directions`` cover n = 0..truncation
+    (the bracket from bracket_values already carries the degenerate terminal
+    column); the directions have shape (steps,) or one row per bracket row.
+    The terms are formed in C order, so each path's sum runs in one fixed
+    order whatever the layouts of the bracket and the directions.
     """
-    bracket = np.atleast_2d(np.asarray(bracket, dtype=float))
+    bracket = np.asarray(bracket, dtype=float)
+    if bracket.ndim != 2:
+        raise ContractError(f"bracket must have shape (paths, steps), got {bracket.shape}")
     v = np.asarray(directions, dtype=float)
     n_cols = bracket.shape[-1]
     if n_cols != variational.truncation + 1:

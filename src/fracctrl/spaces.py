@@ -121,31 +121,20 @@ class WeightedNormResult:
 
     value: float
     tail_term: float
-    truncation: int
 
 
-def weighted_norm(values, params: WeightedNormParams, truncation: int | None = None) -> WeightedNormResult:
+def weighted_norm(values, params: WeightedNormParams) -> WeightedNormResult:
     """Truncated weighted norm of a path or path ensemble.
 
     ``values`` holds x_0, ..., x_N along the last axis, one row per path when
-    2-dimensional; expectations are ensemble means.  The truncation defaults
-    to everything supplied.
+    2-dimensional; expectations are ensemble means.  The norm sums every
+    supplied step; for a shorter truncation, slice ``values``.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[None, :]
-    if values.ndim != 2:
-        raise ContractError(f"values must be 1- or 2-dimensional, got shape {values.shape}")
+    if values.ndim != 2 or values.shape[1] == 0:
+        raise ContractError(f"values must be 1- or 2-dimensional with >= 1 step, got shape {values.shape}")
     n_max = values.shape[1] - 1
-    if truncation is None:
-        truncation = n_max
-    require("truncation", truncation, int)
-    if not 0 <= truncation <= n_max:
-        raise ContractError(f"truncation must lie in [0, {n_max}], got {truncation}")
-    powers = params.exponents(truncation)
-    weights = params.weights(truncation)
-    moments = np.mean(np.abs(values[:, : truncation + 1]) ** powers, axis=0)
-    terms = weights * moments
-    return WeightedNormResult(
-        value=float(np.sum(terms)), tail_term=float(terms[-1]), truncation=int(truncation)
-    )
+    terms = params.weights(n_max) * np.mean(np.abs(values) ** params.exponents(n_max), axis=0)
+    return WeightedNormResult(value=float(np.sum(terms)), tail_term=float(terms[-1]))

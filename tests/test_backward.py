@@ -431,16 +431,30 @@ class TestSolveTruncatedExact:
             err_msg="Y_0 should equal sum_j>=1 exp(-j^2) at this horizon",
         )
 
-    def test_explicit_terminal_driver_and_flag(self):
-        c = 0.7
-        with_f1 = solve_truncated(
-            DriverSpec(f=lambda n, x, y, z, u: c + 0.0 * y, f1=lambda n, y: c + 0.0 * y),
-            None, None, 3, 1.0, 2.0, backend="exact",
-        )
-        default = solve_truncated(constant_driver(c), None, None, 3, 1.0, 2.0, backend="exact")
-        assert_allclose(with_f1.y, default.y, rtol=0, atol=0)
-        assert default.diagnostics["used_default_terminal"] is True
-        assert with_f1.diagnostics["used_default_terminal"] is False
+    def test_the_terminal_step_evaluates_f_and_g_at_z_zero(self):
+        # Z_N does not exist, so the terminal step hands f and g z = 0; every
+        # other step of a solve along a state hands them the fitted Z.
+        seen = {"f": {}, "g": {}}
+
+        def recording(name, c):
+            def driver(n, x, y, z, u):
+                seen[name][n] = np.copy(z)
+                return c + 0.2 * z
+            return driver
+
+        sol = solve_truncated(DriverSpec(f=recording("f", 0.7)), None, None, 3, 1.0, 2.0, "exact")
+        assert seen["f"] == {1: 0.0, 2: 0.0, 3: 0.0} and not seen["g"]
+        assert_allclose(sol.y[0], CONST_Y, rtol=0, atol=1e-12)
+        seen["f"].clear()
+        sys, state = simulate_white(6, 3000, seed=41, hurst=0.7)
+        driver = DriverSpec(f=recording("f", 0.7), g=recording("g", 0.3))
+        sol = solve_truncated(driver, state, sys, 5, 0.3, 1.5, "regression")
+        for name in ("f", "g"):
+            assert sorted(seen[name]) == [1, 2, 3, 4, 5]
+            assert np.array_equal(seen[name][5], np.zeros(3000))
+            for m in range(1, 5):
+                assert np.array_equal(seen[name][m], sol.z[:, m]), (name, m)
+        assert np.any(sol.z[:, 1:5] != 0.0), "the fitted Z must reach the driver"
 
     def test_investment_adjoint_frozen_values(self):
         # Consumption at {2}, N = 2: chi = (0, 0, 1), k = (0, -1, -1.5).
@@ -460,12 +474,11 @@ class TestSolveTruncatedExact:
         )
         assert_allclose(sol.z, 0.0, rtol=0, atol=0, err_msg="deterministic adjoint must have q = 0")
 
-    @pytest.mark.parametrize("n_controls,f1", [(5, None), (4, None), (4, lambda n, y: 2.0 + y)])
-    def test_a_stateless_solve_reads_controls_as_the_array_loop_does(self, n_controls, f1):
-        # Four controls end before the terminal step 4, where u is then NaN
-        # unless the terminal driver f1, which reads no control, takes over.
+    @pytest.mark.parametrize("n_controls", [5, 4])
+    def test_a_stateless_solve_reads_controls_as_the_array_loop_does(self, n_controls):
+        # Four controls end before the terminal step 4, where u is then NaN.
         controls = 0.5 ** np.arange(n_controls)
-        driver = DriverSpec(f=lambda n, x, y, z, u: 0.3 * y + u, f1=f1)
+        driver = DriverSpec(f=lambda n, x, y, z, u: 0.3 * y + u)
         zeros = np.zeros((1, 4))
         one_path = StatePath(
             values=np.zeros((1, 5)), controls=controls[None],
@@ -475,7 +488,7 @@ class TestSolveTruncatedExact:
             lambda: solve_truncated(driver, None, None, 4, 0.5, 1.5, "exact", control_values=controls),
             lambda: solve_truncated(driver, one_path, None, 4, 0.5, 1.5, "exact"),
         ]
-        if f1 is None and n_controls == 4:
+        if n_controls == 4:
             for solve in solves:
                 with pytest.raises(NumericalError, match="non-finite at step 3"):
                     solve()
@@ -499,7 +512,6 @@ class TestSolveTruncatedExact:
         sol_g = solve_truncated(with_g, state, sys, 3, 1.0, 2.0, backend="exact")
         sol = solve_truncated(plain, None, None, 3, 1.0, 2.0, backend="exact")
         assert_allclose(sol_g.y[0], sol.y[0], rtol=0, atol=1e-15)
-        assert sol_g.diagnostics["used_default_terminal_noise"] is True
 
     def test_validation_errors(self):
         driver = constant_driver(1.0)
@@ -550,7 +562,9 @@ class TestSolveTruncatedExact:
         sys, state = simulate_white(4, 50, seed=3)
         sol = solve_truncated(constant_driver(1.0), state, sys, 4, 1.0, 2.0,
                               window=np.int64(2), degree=np.int32(2))
-        assert sol.diagnostics["window"] == 2 and sol.diagnostics["degree"] == 2
+        want = solve_truncated(constant_driver(1.0), state, sys, 4, 1.0, 2.0, window=2, degree=2)
+        assert np.array_equal(sol.y, want.y) and np.array_equal(sol.z, want.z)
+        assert sol.diagnostics == want.diagnostics
 
     def test_numpy_integer_truncation(self):
         sol = solve_truncated(constant_driver(0.7), None, None, np.int64(3), 1.0, 2.0,
@@ -625,11 +639,18 @@ class TestRegressionBackend:
         )
         assert abs(base_col.std() - shuf_col.std()) < 0.05
 
-    def test_window_shorter_than_history_limits_the_basis(self):
+    def test_window_shorter_than_history_limits_the_basis(self, monkeypatch):
         _, state = simulate_white(5, 4000, seed=31)
         driver = DriverSpec(f=lambda n, x, y, z, u: x + 0.0 * y)
+        widths = []
+
+        def recording(targets, features, *args, **kwargs):
+            widths.append(features.shape[1])
+            return conditional_expectation(targets, features, *args, **kwargs)
+
+        monkeypatch.setattr(backward, "conditional_expectation", recording)
         sol = solve_truncated(driver, state, None, 5, 0.3, 1.5, backend="regression", window=1)
-        assert sol.diagnostics["window"] == 1
+        assert widths == [1, 1, 1, 1, 0]
         assert np.all(np.isfinite(sol.y))
 
     def test_matches_one_fit_per_target(self):
@@ -673,8 +694,10 @@ class TestRegressionBackend:
                         rtol=1e-10, atol=0)
         assert sol.diagnostics["fit_fallbacks"] == 0
         json.dumps(sol.diagnostics)
-        exact = solve_truncated(constant_driver(1.0), None, None, 3, 1.0, 2.0, backend="exact")
-        assert not {"fit_min_singular", "fit_max_cond", "fit_fallbacks"} & set(exact.diagnostics)
+        assert set(sol.diagnostics) == {"fit_min_singular", "fit_max_cond", "fit_fallbacks"}
+        assert solve_truncated(constant_driver(1.0), None, None, 3, 1.0, 2.0, "exact").diagnostics == {}
+        sys, state = simulate_white(4, 32, seed=5)
+        assert solve_truncated(constant_driver(1.0), state, sys, 3, 1.0, 2.0, "exact").diagnostics == {}
 
     def test_near_collinear_step_is_counted_as_a_fallback(self):
         # xi_1 nearly repeats xi_0: with window 2 only step 2 regresses on both.

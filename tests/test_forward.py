@@ -1,5 +1,7 @@
 """Tests for state simulation, first variations, and control perturbation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,15 @@ class TestSimulateState:
         # step 1 applies (1+r)(1 - c) = 1.05 * 0.5
         np.testing.assert_allclose(path.values[:, 2], 1.05 * 1.05 * 0.5, rtol=1e-14)
 
+    def test_control_values_of_other_paths_are_refused(self, noise16):
+        # np.broadcast_to failed inside ControlProcess.at.
+        message = "control values of shape (3, 16) do not match the noise's (64, 16)"
+        with pytest.raises(ContractError, match=re.escape(message)):
+            fw.simulate_state(constant_coeffs(), fw.ControlProcess(values=np.zeros((3, 16))), noise16, 0.0)
+        one_row = fw.simulate_state(constant_coeffs(0.1), fw.ControlProcess(values=np.zeros((1, 16))), noise16, 0.0)
+        shared = fw.simulate_state(constant_coeffs(0.1), fw.ControlProcess(values=np.zeros(16)), noise16, 0.0)
+        assert np.array_equal(one_row.values, shared.values)
+
     def test_determinism_bitwise(self, noise16):
         coeffs = wealth_coeffs()
         u = fw.ControlProcess(values=np.full(16, 0.3))
@@ -234,6 +245,15 @@ class TestSimulateState:
 
 
 class TestVariation:
+    @pytest.mark.parametrize("shape", [(3, 16), (1, 64, 16), ()])
+    def test_a_direction_of_other_paths_or_dimensions_is_refused(self, noise16, shape):
+        # A broadcast at step 0 raised numpy's ValueError.
+        coeffs = wealth_coeffs()
+        base = fw.simulate_state(coeffs, fw.ControlProcess(values=np.full(16, 0.2)), noise16, 1.0)
+        message = f"direction must have shape (steps,) or (64, steps), got {shape}"
+        with pytest.raises(ContractError, match=re.escape(message)):
+            fw.simulate_variation(coeffs, base, np.zeros(shape))
+
     def test_zero_direction_stays_zero(self, noise16):
         coeffs = wealth_coeffs()
         base = fw.simulate_state(coeffs, fw.ControlProcess(values=np.full(16, 0.2)), noise16, 1.0)

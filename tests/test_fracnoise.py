@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -65,9 +66,14 @@ class TestAutocovariance:
         with pytest.raises(ContractError):
             fn.fgn_autocovariance(0.75, 1.5)
 
-    @pytest.mark.parametrize("lag", ["1", True, None, ["1", "2"], np.array(["1"]), [1, None], np.array([True, False])])
+    @pytest.mark.parametrize(
+        "lag",
+        ["1", True, None, ["1", "2"], np.array(["1"]), [1, None], np.array([True, False]),
+         [1, True], (True, 2), [[1, True]], [np.True_, 2], [np.array([True]), np.array([2])]],
+    )
     def test_lag_must_be_numeric(self, lag):
-        # numpy reads each of these as a number, so each was taken as a lag
+        # numpy reads each of these as a number, so each was taken as a lag;
+        # next to other numbers a bool reached numpy as an integer.
         with pytest.raises(ContractError, match="lag must be a nonnegative integer or an array of them"):
             fn.fgn_autocovariance(0.75, lag)
 
@@ -76,6 +82,33 @@ class TestAutocovariance:
         # an infinite lag returned NaN
         with pytest.raises(ContractError, match="lag must be a nonnegative integer"):
             fn.fgn_autocovariance(0.75, lag)
+
+    @pytest.mark.parametrize(
+        "h,lag,bad",
+        [(0.75, 1e300, 1e300), (0.75, [1, 2, 1e300, 1e301], 1e300), (0.5, 1e308, 1e308),
+         (0.6, np.array([[3.0], [1e300]]), 1e300), (0.9, 10**400, 10**400),
+         (0.75, [5, 10**400], 10**400)],
+        ids=["1e300", "list", "H-half", "column", "int-past-float", "list-int-past-float"],
+    )
+    def test_a_lag_whose_powers_overflow_is_refused(self, h, lag, bad):
+        # It returned NaN with two overflow warnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=re.escape(f"overflows a float at lag {bad}")) as err:
+                fn.fgn_autocovariance(h, lag)
+        assert err.value.detail == {"lag": bad}
+
+    def test_the_largest_lags_that_fit_are_kept(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # |k +- 1|^(2H) and 2 k^(2H) stay below the float maximum here
+            assert np.isfinite(fn.fgn_autocovariance(0.25, 1e200))
+            assert np.isfinite(fn.fgn_autocovariance(0.75, [1, 1e200])).all()
+            assert np.isfinite(fn.fgn_autocovariance(0.75, 1e205))
+            # an integer past the float range stands at the float maximum
+            assert fn.fgn_autocovariance(0.25, 10**400) == 0.0
+        with pytest.raises(ContractError, match="nonnegative integer"):
+            fn.fgn_autocovariance(0.75, [-1, 10**400])
 
     def test_integral_lags_of_every_kind_agree(self):
         expected = fn.fgn_autocovariance(0.75, np.arange(4))
@@ -265,7 +298,7 @@ class TestSampling:
         ens = fn.sample_ensemble(sys, seed=2024, n_paths=100_000, n_steps=2)
         prod = ens.xi[:, 0] * ens.xi[:, 1]
         est = np.mean(prod)
-        stderr = np.std(prod, ddof=1) / np.sqrt(ens.n_paths)
+        stderr = np.std(prod, ddof=1) / np.sqrt(ens.xi.shape[0])
         assert abs(est - RHO_075_LAG1) < 3 * stderr, f"cov estimate {est}, stderr {stderr}"
 
     def test_whiten_roundtrip(self):
@@ -279,7 +312,7 @@ class TestSampling:
         ens = fn.sample_ensemble(sys, seed=99, n_paths=100_000)
         eta = ens.xi @ sys.alpha.T
         cov = np.cov(eta, rowvar=False)
-        m = ens.n_paths
+        m = ens.xi.shape[0]
         off = cov - np.eye(16)
         assert np.max(np.abs(off[~np.eye(16, dtype=bool)])) < 4 / np.sqrt(m)
         assert np.max(np.abs(np.diag(off))) < 4 * np.sqrt(2 / m)
@@ -324,15 +357,27 @@ class TestSampling:
 class TestPrediction:
     def test_empty_prefix(self):
         sys = fn.build_innovation_system(0.75, 4)
-        assert fn.predict_next(sys, np.array([])) == 0.0
         np.testing.assert_array_equal(fn.predict_next(sys, np.zeros((5, 0))), np.zeros(5))
+        np.testing.assert_array_equal(fn.predict_next(sys, np.zeros((1, 0))), np.zeros(1))
 
     def test_half_predicts_zero(self):
         sys = fn.build_innovation_system(0.5, 16)
         rng = np.random.default_rng(42)
         for n in (1, 5, 15):
-            pred = fn.predict_next(sys, rng.standard_normal(n))
-            assert pred == 0.0, f"H=0.5 must predict 0 exactly, got {pred}"
+            pred = fn.predict_next(sys, rng.standard_normal((3, n)))
+            assert np.all(pred == 0.0), f"H=0.5 must predict 0 exactly, got {pred}"
+
+    @pytest.mark.parametrize("shape", [(3,), (0,), (), (2, 3, 1)])
+    def test_prediction_takes_paths_by_steps_only(self, shape):
+        # A 1-D prefix was one path and returned a float; a 3-D xi raised
+        # numpy's "too many values to unpack".
+        sys = fn.build_innovation_system(0.75, 8)
+        with pytest.raises(ContractError, match=re.escape(f"prefix must have shape (paths, steps), got {shape}")):
+            fn.predict_next(sys, np.zeros(shape))
+        with pytest.raises(ContractError, match=re.escape(f"xi must have shape (paths, steps), got {shape}")):
+            fn.prediction_matrix(sys, np.zeros(shape), 0)
+        with pytest.raises(ContractError, match="xi must have shape"):
+            fn.prediction_matrix(sys, np.zeros(5), 4)
 
     @pytest.mark.parametrize("h", [0.25, 0.75])
     @pytest.mark.parametrize("n", [1, 5, 25, 63])
@@ -348,8 +393,8 @@ class TestPrediction:
 
     def test_prefix_too_long(self):
         sys = fn.build_innovation_system(0.75, 4)
-        with pytest.raises(ContractError):
-            fn.predict_next(sys, np.zeros(4))
+        with pytest.raises(ContractError, match="prefix of length 4 needs prediction row 4"):
+            fn.predict_next(sys, np.zeros((1, 4)))
 
     @pytest.mark.parametrize("h", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("n_max", [0, 1, 40, 99])

@@ -1,6 +1,7 @@
 """Tests for the adjoint chain, adjoint pair, bracket, certificate, and duality."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -551,6 +552,18 @@ class TestWholeGridBracket:
         with pytest.raises(ContractError, match="k has 5 steps"):
             bracket_values(self.coeffs, self.cost, state, adjoint, k[:5], sys)
 
+    def test_controls_and_k_of_other_paths_are_refused(self):
+        # A broadcast inside the first block raised numpy's ValueError.
+        sys, _, state, _ = self.setup()
+        k = solve_adjoint_k(0.4, 0.0, self.horizon)
+        adjoint = solve_adjoint_pq(0.1, 0.0, 0.3, k, self.horizon, 0.5, 1.5)
+        for bad in ((5, self.horizon + 1), (1, self.n_paths, self.horizon + 1)):
+            for name, kwargs in (("controls", {"controls": np.zeros(bad)}), ("k", {"k": np.ones(bad)})):
+                kwargs = {"k": k, **kwargs}
+                message = f"{name} must be a scalar, (steps,) or (37, steps), got {bad}"
+                with pytest.raises(ContractError, match=re.escape(message)):
+                    bracket_values(self.coeffs, self.cost, state, adjoint, sys=sys, **kwargs)
+
     def test_partials_receive_the_step_array(self):
         sys, _, state, _ = self.setup()
         k = solve_adjoint_k(0.4, 0.0, self.horizon)
@@ -678,6 +691,20 @@ class TestNecessaryCheck:
         for n_trials in (0, 2):
             with pytest.raises(ContractError, match="seed must be >= 0"):
                 check_necessary_condition(np.ones(3), np.zeros(3), 0.0, 1.0, n_trials=n_trials, seed=-1)
+
+    @pytest.mark.parametrize(
+        "shapes,message",
+        [
+            (((3,), (4,), (), ()), "bracket (3,), u_star (4,), lower (), upper ()"),
+            (((2, 3), (2, 3), (3, 3), ()), "bracket (2, 3), u_star (2, 3), lower (3, 3), upper ()"),
+            (((5, 1), (), (1, 4), (2,)), "bracket (5, 1), u_star (), lower (1, 4), upper (2,)"),
+        ],
+    )
+    def test_inputs_that_do_not_broadcast_are_refused(self, shapes, message):
+        # np.broadcast_arrays raised numpy's ValueError.
+        bracket, u_star, lower, upper = (np.zeros(shape) for shape in shapes)
+        with pytest.raises(ContractError, match=re.escape(message)):
+            check_necessary_condition(bracket, u_star, lower, upper + 1.0)
 
     # Entries that make ties (signed zeros included), NaN and inf products,
     # and many violations.
@@ -870,6 +897,20 @@ class TestVariationalDuality:
                 duality_gap(bracket, bad, variational)
         per_path = duality_gap(bracket, np.tile(v, (16, 1)), variational)
         assert per_path == duality_gap(bracket, v, variational)
+
+    def test_duality_gap_refuses_a_bracket_that_is_not_two_dimensional(self):
+        # A (2, paths, steps) bracket was averaged over both leading axes.
+        sys, coeffs, state, v = self._deterministic_setup()
+        k = solve_adjoint_k(0.4, 0.0, self.n_trunc)
+        adjoint = solve_adjoint_pq(0.1, 0.0, 0.3, k, self.n_trunc, self.lam, self.gamma_exp)
+        variational = solve_variational(
+            0.3, 0.4, 0.0, 0.7, simulate_variation(coeffs, state, v), v, self.n_trunc,
+            self.lam, self.gamma_exp, backend="exact",
+        )
+        bracket = bracket_values(coeffs, linear_cost(), state, adjoint, k, sys)
+        for bad in (np.stack([bracket, bracket]), bracket[0], bracket[0, 0]):
+            with pytest.raises(ContractError, match=re.escape(f"bracket must have shape (paths, steps), got {bad.shape}")):
+                duality_gap(bad, v, variational)
 
     def test_duality_gap_sums_each_path_in_one_order(self):
         # A sum along a strided axis adds in another order than along a

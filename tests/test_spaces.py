@@ -1,5 +1,7 @@
 """Tests for discount weights, delta ladders, and truncated weighted norms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -59,7 +61,7 @@ class TestWeightedNorm:
         params = sp.WeightedNormParams(lam=1.0, gamma_exp=2.0, base_power=2.0)
         res = sp.weighted_norm(np.ones(6), params)
         np.testing.assert_allclose(res.tail_term, np.exp(-25.0), rtol=1e-12)
-        assert res.truncation == 5
+        assert [f.name for f in dataclasses.fields(res)] == ["value", "tail_term"]
 
     def test_zero_path(self):
         params = sp.WeightedNormParams(lam=0.5, gamma_exp=1.5, base_power=2.0, theta=2.0)
@@ -72,10 +74,13 @@ class TestWeightedNorm:
         want = 2.0 * np.sum(np.exp(-np.arange(4.0) ** 2))
         np.testing.assert_allclose(sp.weighted_norm(values, params).value, want, rtol=1e-12)
 
-    def test_truncation_argument(self):
-        params = sp.WeightedNormParams(lam=1.0, gamma_exp=2.0, base_power=2.0)
-        res = sp.weighted_norm(np.ones(10), params, truncation=5)
-        np.testing.assert_allclose(res.value, CONST_NORM_N5, rtol=1e-12)
+    def test_a_shorter_truncation_slices_values(self):
+        params = sp.WeightedNormParams(lam=1.0, gamma_exp=2.0, base_power=2.0, theta=2.0)
+        values = np.random.default_rng(3).standard_normal((7, 10))
+        res = sp.weighted_norm(values[:, :6], params)
+        want = params.weights(5) * np.mean(np.abs(values[:, :6]) ** params.exponents(5), axis=0)
+        assert res.value == float(np.sum(want)) and res.tail_term == float(want[-1])
+        np.testing.assert_allclose(sp.weighted_norm(np.ones(10)[:6], params).value, CONST_NORM_N5, rtol=1e-12)
 
     def test_direction_of_exponents(self):
         fwd = sp.WeightedNormParams(lam=1.0, gamma_exp=2.0, base_power=2.0, theta=2.0)
@@ -98,11 +103,11 @@ class TestWeightedNorm:
         with pytest.raises(ContractError):
             sp.WeightedNormParams(lam=1.0, gamma_exp=2.0, base_power=2.0, direction="sideways")
         params = sp.WeightedNormParams(lam=1.0, gamma_exp=2.0, base_power=2.0)
-        for truncation in (7, -1, 2.5):
-            with pytest.raises(ContractError, match="truncation"):
-                sp.weighted_norm(np.ones(4), params, truncation=truncation)
-        with pytest.raises(ContractError):
-            sp.weighted_norm(np.ones((2, 2, 2)), params)
+        for values in (np.ones((2, 2, 2)), np.ones(0), np.ones((3, 0)), np.float64(1.0)):
+            with pytest.raises(ContractError, match="values must be 1- or 2-dimensional"):
+                sp.weighted_norm(values, params)
+        with pytest.raises(TypeError):
+            sp.weighted_norm(np.ones(4), params, truncation=2)
 
     @pytest.mark.parametrize(
         "field, value",
