@@ -1,5 +1,5 @@
-"""The two LAPACK routines the package calls: Cholesky factor (dpotrf) and
-solve (dpotrs).
+"""The two LAPACK routines the package calls, Cholesky factor (dpotrf) and
+solve (dpotrs), and a pin of the bundled OpenBLAS pools to one thread.
 
 scipy's Linux wheels bundle an OpenBLAS whose LAPACK symbols carry a
 ``scipy_`` prefix; ``scipy.linalg.lapack.dpotrf`` and ``dpotrs`` call
@@ -12,18 +12,29 @@ importing it.  Where that library or its symbols are missing (other wheels,
 conda, distribution builds), the same two functions call
 ``scipy.linalg.lapack``.  ``LIBRARY`` names the bound library, or is None on
 that path.
+
+OpenBLAS rounds dpotrf (from an order of 129 on) and dgemm (at some shapes)
+differently on one thread than on several, so a result would depend on the
+CPU count.  ``one_thread`` runs its body with both bundled pools on one
+thread: numpy's, in ``numpy.libs/libscipy_openblas64_*.so``, and scipy's, in
+``LIBRARY``.  fracnoise holds it around the fGn factorization and the noise
+and prediction products (at long horizons these were also faster on one
+thread on a 2-CPU host); the regression fits still use the pool.  A pool
+whose library or thread setter is missing is left alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import glob
 import importlib.util
 import os
+import threading
 
 import numpy as np
 
-__all__ = ["potrf", "potrs"]
+__all__ = ["potrf", "potrs", "one_thread"]
 
 
 def _bundled_routines():
@@ -122,3 +133,60 @@ def potrs(factor: np.ndarray, b, lower: bool) -> np.ndarray:
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return x
+
+
+def _thread_pools() -> list:
+    """(get, set) thread-count functions of each bundled OpenBLAS pool found:
+    numpy's, whose symbols carry the ``64_`` suffix of its 64-bit integer
+    build, and scipy's."""
+    numpy_libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    libraries = [(path, "64_") for path in sorted(glob.glob(os.path.join(numpy_libs, "libscipy_openblas64_*.so*")))]
+    if LIBRARY is not None:
+        libraries.append((LIBRARY, ""))
+    pools = []
+    for path, suffix in libraries:
+        try:
+            lib = ctypes.CDLL(path)
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        put.restype, put.argtypes = None, [ctypes.c_int]
+        pools.append((get, put))
+    return pools
+
+
+_POOLS = _thread_pools()
+# The thread counts are process-wide, so the depth of pinned bodies and the
+# counts found on entering the first are too; the lock keeps them consistent
+# when several Python threads enter and leave.
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved: list = []
+
+
+@contextlib.contextmanager
+def one_thread():
+    """Run the body with every bundled OpenBLAS pool on one thread.
+
+    The counts are process-wide: while any body runs, every call into those
+    pools, from any Python thread, runs on one thread.  The last body to
+    exit restores the counts found when the first entered, also on an
+    exception; a nested body keeps one thread.
+    """
+    global _pin_depth, _pin_saved
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = [get() for get, _ in _POOLS]
+            for _, put in _POOLS:
+                put(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                for (_, put), count in zip(_POOLS, _pin_saved):
+                    put(count)

@@ -33,20 +33,23 @@ demand.
 
 Sampling is deterministic given the seed.  Innovations come from numpy's PCG64
 generator (ziggurat standard normals), fixed for this build so that identical
-(system, seed) pairs reproduce identical paths bit for bit.
+(system, seed) pairs reproduce identical paths bit for bit.  The factorization
+and the noise and prediction products run on one OpenBLAS thread
+(``_lapack.one_thread``), so their bits do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._csv import write_csv
-from ._lapack import potrf
+from ._lapack import one_thread, potrf
 from .errors import ContractError, NumericalError, require
 
 __all__ = [
@@ -79,17 +82,20 @@ def fgn_autocovariance(h: float, lag):
     """Autocovariance rho_H(lag) of unit-step fractional Gaussian noise.
 
     ``lag`` may be a nonnegative integer or an array of them; a bool (also
-    one inside a list or tuple), a string, None or a non-numeric array
-    raises ContractError, though numpy would read each as a number.  A lag
-    whose terms |lag +- 1|^{2H} overflow a float raises NumericalError
-    naming it.  rho_H(0) = 1 for every H, and rho_H(k) = 0 for all k >= 1
-    iff H = 1/2.
+    one inside a list or tuple), a string, None, a non-numeric array or a
+    ragged nesting of lists raises ContractError, though numpy would read
+    most of them as numbers.  A lag whose terms |lag +- 1|^{2H} overflow a
+    float raises NumericalError naming it.  rho_H(0) = 1 for every H, and
+    rho_H(k) = 0 for all k >= 1 iff H = 1/2.
     """
     h = _check_hurst(h)
-    lags = np.asarray(lag)
+    try:
+        lags = np.asarray(lag)
+    except ValueError:  # a ragged nesting, such as [1, [2, 3]]
+        lags = None
     # An object array holds Python integers past int64, or None.  Past the
     # float range an integer stands at the float maximum, whose powers overflow.
-    if _holds_bool(lag) or lags.dtype.kind not in "iuf" and not (
+    if lags is None or _holds_bool(lag) or lags.dtype.kind not in "iuf" and not (
         lags.dtype.kind == "O" and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in lags.flat)
     ):
         raise ContractError(f"lag must be a nonnegative integer or an array of them, got {lag!r}")
@@ -186,7 +192,8 @@ def build_innovation_system(h: float, horizon: int) -> InnovationSystem:
 
     Raises ContractError for a horizon that is not an integer >= 1, and
     NumericalError with the offending pivot index if the Toeplitz matrix
-    loses positive definiteness to rounding.
+    loses positive definiteness to rounding.  The factorization runs in a
+    second thread, joined before the call returns.
     """
     h = _check_hurst(h)
     require("horizon", horizon, int)
@@ -197,14 +204,52 @@ def build_innovation_system(h: float, horizon: int) -> InnovationSystem:
     # _toeplitz(rho) is exactly symmetric, so its transpose is the same matrix
     # in Fortran order, which dpotrf factors in place without a copy.
     beta = _toeplitz(rho).T
-    info = potrf(beta, lower=True)
+    # dpotrf releases the GIL, so it factors beta in a second thread while
+    # this one runs the Durbin-Levinson loop.  Where a pivot is lost the
+    # loop's gamma is discarded, so its divisions may fail quietly.
+    with one_thread():
+        factor = _start(potrf, beta, lower=True)
+        try:
+            with np.errstate(all="ignore"):
+                gamma = _durbin_levinson(rho)
+        finally:
+            info = factor()
     if info != 0:
         raise NumericalError(
             f"Cholesky factorization of the fGn covariance failed at pivot {info} "
             f"(H={h}, horizon={horizon})",
             pivot_index=int(info),
         )
-    return InnovationSystem(hurst=h, horizon=horizon, beta=beta, gamma=_durbin_levinson(rho))
+    return InnovationSystem(hurst=h, horizon=horizon, beta=beta, gamma=gamma)
+
+
+def _start(fn, *args, **kwargs):
+    """Call ``fn(*args, **kwargs)`` in a new thread; the function returned
+    joins it and returns the call's result or raises its exception."""
+    outcome = []
+
+    def call():
+        try:
+            outcome.append((fn(*args, **kwargs), None))
+        except BaseException as exc:
+            outcome.append((None, exc))
+
+    thread = threading.Thread(target=call)
+    thread.start()
+
+    def join():
+        thread.join()
+        value, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return join
+
+
+def _check_system(system) -> None:
+    if not isinstance(system, InnovationSystem):
+        raise ContractError(f"system must be an InnovationSystem, got {type(system).__name__}")
 
 
 @dataclass(frozen=True)
@@ -253,10 +298,11 @@ def sample_ensemble(
     The first k increments depend only on the leading k x k block of beta, so
     truncating to n_steps < horizon samples from exactly the same law as the
     full system restricted to those steps.  ``xi`` equals
-    ``eta @ beta[:n_steps, :n_steps].T`` bit for bit and is the transpose of
-    a step-major buffer: ``xi[:, n]`` is contiguous.  One path is
-    ``sample_ensemble(system, seed, 1)``.
+    ``eta @ beta[:n_steps, :n_steps].T`` on one OpenBLAS thread bit for bit
+    and is the transpose of a step-major buffer: ``xi[:, n]`` is contiguous.
+    One path is ``sample_ensemble(system, seed, 1)``.
     """
+    _check_system(system)
     require("seed", seed, int)
     require("n_paths", n_paths, int)
     if n_paths < 1:
@@ -270,7 +316,9 @@ def sample_ensemble(
         )
     rng = np.random.default_rng(seed)
     eta = rng.standard_normal((n_paths, n_steps))
-    xi = _step_major(eta @ system.beta[:n_steps, :n_steps].T)
+    with one_thread():
+        product = eta @ system.beta[:n_steps, :n_steps].T
+    xi = _step_major(product)
     return NoiseEnsemble(seed=int(seed), eta=eta, xi=xi)
 
 
@@ -284,6 +332,7 @@ def predict_next(system: InnovationSystem, prefix) -> np.ndarray:
     sample_ensemble's xi) and a C-order copy of it may differ in the last
     bits; tests bound the difference by 1e-14 of sum_k |xi_k gamma(n, k)|.
     """
+    _check_system(system)
     prefix = np.asarray(prefix, dtype=float)
     if prefix.ndim != 2:
         raise ContractError(f"prefix must have shape (paths, steps), got {prefix.shape}")
@@ -295,7 +344,8 @@ def predict_next(system: InnovationSystem, prefix) -> np.ndarray:
         )
     if n == 0:
         return np.zeros(prefix.shape[0])
-    return prefix @ system.gamma[n, :n]
+    with one_thread():
+        return prefix @ system.gamma[n, :n]
 
 
 def prediction_matrix(system: InnovationSystem, xi, n_max: int) -> np.ndarray:
@@ -304,10 +354,12 @@ def prediction_matrix(system: InnovationSystem, xi, n_max: int) -> np.ndarray:
     ``xi`` has shape (paths, >= n_max), one row per path.  Column n of the
     result is E[xi_n | xi_0, ..., xi_{n-1}] on each path; column 0 is the
     unconditional mean 0.  The values are those of the path-major product
-    ``xi[:, :n_max] @ gamma[:n_max + 1, :n_max].T`` bit for bit, stored as
-    the transpose of a step-major (n_max + 1, paths) buffer: column n is
-    contiguous, and a window of columns is Fortran-contiguous.
+    ``xi[:, :n_max] @ gamma[:n_max + 1, :n_max].T`` on one OpenBLAS thread
+    bit for bit, stored as the transpose of a step-major (n_max + 1, paths)
+    buffer: column n is contiguous, and a window of columns is
+    Fortran-contiguous.
     """
+    _check_system(system)
     require("n_max", n_max, int)
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 2:
@@ -323,7 +375,9 @@ def prediction_matrix(system: InnovationSystem, xi, n_max: int) -> np.ndarray:
         raise ContractError(f"need {n_max} increments per path, got {xi.shape[1]}")
     # gamma is strictly lower triangular, so the terms past each prefix are
     # exact zeros and one product gives every column.
-    return _step_major(xi[:, :n_max] @ system.gamma[: n_max + 1, :n_max].T)
+    with one_thread():
+        product = xi[:, :n_max] @ system.gamma[: n_max + 1, :n_max].T
+    return _step_major(product)
 
 
 def gaussian_abs_moment(m: float) -> float:

@@ -67,16 +67,15 @@ _BLOCK_ENTRIES = 1 << 14
 def solve_adjoint_k(f_y, f_z, n_steps: int, eta=None) -> np.ndarray:
     """Cost-propagation chain k over steps 0..n_steps.
 
-    ``f_y``/``f_z`` are scalars or per-step tables indexed by n (only indices
-    1..n_steps-1 are read).  A nonzero f_z makes the chain noise-driven and
-    requires ``eta`` of shape (M, >= n_steps); the result is then (M,
-    n_steps+1), otherwise (n_steps+1,).
+    ``f_y``/``f_z`` are finite numbers or per-step tables of them indexed by
+    n (only indices 1..n_steps-1 are read).  A nonzero f_z makes the chain
+    noise-driven and requires ``eta`` of shape (M, >= n_steps); the result
+    is then (M, n_steps+1), otherwise (n_steps+1,).
     """
     require("n_steps", n_steps, int)
     if n_steps < 0:
         raise ContractError(f"n_steps must be >= 0, got {n_steps}")
-    fy = np.asarray(f_y, dtype=float)
-    fz = np.asarray(f_z, dtype=float)
+    fy, fz = _chain_table("f_y", f_y), _chain_table("f_z", f_z)
     used = slice(1, n_steps)
     fz_active = bool(np.any(fz != 0.0)) if fz.ndim == 0 else bool(np.any(fz[..., used] != 0.0))
     if fz_active and n_steps > 1 and eta is None:
@@ -100,6 +99,18 @@ def solve_adjoint_k(f_y, f_z, n_steps: int, eta=None) -> np.ndarray:
         growth = growth + _chain_steps("f_z", fz, n_steps) * eta[:, 1:n_steps]
     k[..., 2:] = -np.multiply.accumulate(np.broadcast_to(growth, k[..., 2:].shape), axis=-1)
     return k
+
+
+def _chain_table(name: str, table) -> np.ndarray:
+    """A scalar or per-step table of the chain as floats; ContractError
+    naming it unless it holds finite numbers only."""
+    try:
+        values = np.asarray(table, dtype=float)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or not np.isfinite(values).all():
+        raise ContractError(f"{name} must be a finite number or a per-step table of them, got {table!r}")
+    return values
 
 
 def _chain_steps(name: str, table: np.ndarray, n_steps: int) -> np.ndarray:
@@ -229,9 +240,15 @@ def bracket_values(
             f"cost_solution covers {cost_solution.y.shape[1]} steps, the bracket range needs {n_cols}"
         )
     controls = state.controls if controls is None else np.asarray(controls, dtype=float)
-    for name, table in (("k", k), ("controls", controls)):
+    tables = [("k", k), ("controls", controls), ("adjoint.y", adjoint.y)]
+    if cost_solution is not None:
+        tables.append(("cost_solution.y", cost_solution.y))
+    for name, table in tables:
         if table.ndim > 2 or table.ndim == 2 and table.shape[0] not in (1, n_paths):
-            raise ContractError(f"{name} must be a scalar, (steps,) or ({n_paths}, steps), got {table.shape}")
+            raise ContractError(
+                f"{name} must be a scalar, (steps,) or ({n_paths}, steps), got {table.shape}; "
+                f"the state has shape {state.values.shape}"
+            )
     if predictions is None:
         pred = prediction_matrix(sys, state.noise.xi, n_trunc)
     else:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import threading
 import time
 import warnings
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular, toeplitz
 from scipy.linalg.lapack import dpotrf
 
+from fracctrl import _lapack
 from fracctrl import fracnoise as fn
 from fracctrl.errors import ContractError, NumericalError
 
@@ -69,11 +71,12 @@ class TestAutocovariance:
     @pytest.mark.parametrize(
         "lag",
         ["1", True, None, ["1", "2"], np.array(["1"]), [1, None], np.array([True, False]),
-         [1, True], (True, 2), [[1, True]], [np.True_, 2], [np.array([True]), np.array([2])]],
+         [1, True], (True, 2), [[1, True]], [np.True_, 2], [np.array([True]), np.array([2])], [1, [2, 3]]],
     )
     def test_lag_must_be_numeric(self, lag):
         # numpy reads each of these as a number, so each was taken as a lag;
-        # next to other numbers a bool reached numpy as an integer.
+        # next to other numbers a bool reached numpy as an integer.  A ragged
+        # nesting raised numpy's "inhomogeneous shape" ValueError.
         with pytest.raises(ContractError, match="lag must be a nonnegative integer or an array of them"):
             fn.fgn_autocovariance(0.75, lag)
 
@@ -209,15 +212,41 @@ class TestInnovationSystem:
         + [pytest.param(h, n, id=f"{h}-{n}") for h in (0.1, 0.25, 0.75, 0.9) for n in (1, 2, 129, 300, 1701, 2048)],
     )
     def test_beta_is_the_cholesky_factor_bit_for_bit(self, h, horizon):
-        # scipy's own wrapper of the dpotrf that fracctrl binds
+        # scipy's own wrapper of the dpotrf that fracctrl binds, on the one
+        # OpenBLAS thread that fracctrl factors and multiplies on
         sys = fn.build_innovation_system(h, horizon)
-        beta, info = dpotrf(toeplitz(fn.fgn_autocovariance(h, np.arange(horizon))), lower=1, clean=1)
+        eta = np.random.default_rng(31).standard_normal((40, horizon))
+        with _lapack.one_thread():
+            beta, info = dpotrf(toeplitz(fn.fgn_autocovariance(h, np.arange(horizon))), lower=1, clean=1)
+            xi = eta @ beta.T
         assert info == 0
         assert np.array_equal(sys.beta, beta)
         ens = fn.sample_ensemble(sys, seed=31, n_paths=40)
-        eta = np.random.default_rng(31).standard_normal((40, horizon))
         assert np.array_equal(ens.eta, eta)
-        assert np.array_equal(ens.xi, eta @ beta.T)
+        assert np.array_equal(ens.xi, xi)
+
+    @pytest.mark.skipif(not _lapack._POOLS, reason="no bundled OpenBLAS thread setter here")
+    def test_the_bits_do_not_depend_on_the_blas_thread_count(self):
+        # On several threads OpenBLAS rounds dpotrf past order 128, and dgemm
+        # at these shapes, differently from one thread.  Each product takes
+        # the same input in both arms.
+        system = fn.build_innovation_system(0.75, 300)
+        xi = fn.sample_ensemble(system, seed=5, n_paths=300).xi
+
+        def at(count):
+            for _, put in _lapack._POOLS:
+                put(count)
+            return (fn.build_innovation_system(0.75, 300).beta, fn.sample_ensemble(system, seed=5, n_paths=300).xi,
+                    fn.prediction_matrix(system, xi, 299))
+
+        saved = [get() for get, _ in _lapack._POOLS]
+        try:
+            one, two = at(1), at(2)
+        finally:
+            for (_, put), count in zip(_lapack._POOLS, saved):
+                put(count)
+        for name, a, b in zip(("beta", "xi", "prediction_matrix"), one, two):
+            assert np.array_equal(a, b), name
 
     @pytest.mark.parametrize("lag,value", [(1, 1.5), (1, -1.0), (3, 0.99), (6, 0.95), (9, -0.9)])
     def test_lost_definiteness_names_scipys_pivot(self, monkeypatch, lag, value):
@@ -229,6 +258,47 @@ class TestInnovationSystem:
         with pytest.raises(NumericalError, match=f"pivot {info} ") as caught:
             fn.build_innovation_system(0.75, 12)
         assert caught.value.pivot_index == info
+
+    def test_a_lost_pivot_warns_nothing(self, monkeypatch):
+        # phi = -1 zeroes the prediction variance, and the Durbin-Levinson
+        # loop, which runs beside the factorization, then divides by zero.
+        rho = fn.fgn_autocovariance(0.75, np.arange(12))
+        rho[1] = -1.0
+        monkeypatch.setattr(fn, "fgn_autocovariance", lambda h, lag: rho.copy())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="pivot 2 "):
+                fn.build_innovation_system(0.75, 12)
+
+    def test_the_factor_is_computed_in_a_second_thread_on_one_blas_thread(self, monkeypatch):
+        calls = []
+
+        def potrf(a, lower):
+            calls.append((threading.get_ident(), [get() for get, _ in _lapack._POOLS]))
+            return _lapack.potrf(a, lower)
+
+        threads = threading.active_count()
+        reference = fn.build_innovation_system(0.3, 300)
+        monkeypatch.setattr(fn, "potrf", potrf)
+        system = fn.build_innovation_system(0.3, 300)
+        [(ident, counts)] = calls
+        assert ident != threading.get_ident()
+        assert counts == [1] * len(_lapack._POOLS)
+        assert threading.active_count() == threads
+        assert np.array_equal(system.beta, reference.beta)
+        assert np.array_equal(system.gamma, reference.gamma)
+
+    def test_an_error_in_the_factor_thread_reaches_the_caller(self, monkeypatch):
+        def potrf(a, lower):
+            raise ValueError("illegal value in 4th argument of internal potrf")
+
+        threads = threading.active_count()
+        saved = [get() for get, _ in _lapack._POOLS]
+        monkeypatch.setattr(fn, "potrf", potrf)
+        with pytest.raises(ValueError, match="4th argument"):
+            fn.build_innovation_system(0.3, 300)
+        assert threading.active_count() == threads
+        assert [get() for get, _ in _lapack._POOLS] == saved
 
     @settings(max_examples=60, deadline=None)
     @given(h=st.floats(0.01, 0.99), horizon=st.integers(2, 256), data=st.data())
@@ -391,6 +461,17 @@ class TestPrediction:
         want = prefixes @ w
         assert np.max(np.abs(got - want)) < 1e-8
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda sys: fn.predict_next(sys, np.zeros((2, 3))), lambda sys: fn.prediction_matrix(sys, np.zeros((2, 3)), 2),
+         lambda sys: fn.sample_ensemble(sys, 1, 2)],
+        ids=["predict_next", "prediction_matrix", "sample_ensemble"],
+    )
+    def test_the_system_must_be_an_innovation_system(self, call):
+        # None raised AttributeError at system.horizon
+        with pytest.raises(ContractError, match="system must be an InnovationSystem, got NoneType"):
+            call(None)
+
     def test_prefix_too_long(self):
         sys = fn.build_innovation_system(0.75, 4)
         with pytest.raises(ContractError, match="prefix of length 4 needs prediction row 4"):
@@ -415,7 +496,9 @@ class TestPrediction:
         xi = fn.sample_ensemble(sys, seed=5, n_paths=paths).xi
         got = fn.prediction_matrix(sys, xi, n_max)
         assert got.shape == (paths, n_max + 1) and got.T.flags.c_contiguous
-        assert np.array_equal(got, xi[:, :n_max] @ sys.gamma[: n_max + 1, :n_max].T)
+        with _lapack.one_thread():
+            want = xi[:, :n_max] @ sys.gamma[: n_max + 1, :n_max].T
+        assert np.array_equal(got, want)
 
     def test_prediction_matrix_refuses_a_negative_length(self):
         sys = fn.build_innovation_system(0.75, 5)

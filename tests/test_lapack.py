@@ -1,8 +1,10 @@
 """The dpotrf/dpotrs binding against scipy's wrappers of the same routines."""
 
+import ctypes.util
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +98,89 @@ def test_the_scipy_binding_gives_the_same_bits(monkeypatch):
 def test_a_missing_library_is_not_bound(monkeypatch):
     monkeypatch.setattr(_lapack.glob, "glob", lambda pattern: [])
     assert _lapack._bundled_routines() is None
+
+
+needs_pools = pytest.mark.skipif(not _lapack._POOLS, reason="no bundled OpenBLAS thread setter here")
+
+
+def pool_counts():
+    return [get() for get, _ in _lapack._POOLS]
+
+
+ONE = [1] * len(_lapack._POOLS)
+TWO = [2] * len(_lapack._POOLS)
+
+
+@pytest.fixture
+def two_threads():
+    """Every bundled pool at two threads, and the counts found restored."""
+    saved = pool_counts()
+    for _, put in _lapack._POOLS:
+        put(2)
+    yield
+    for (_, put), count in zip(_lapack._POOLS, saved):
+        put(count)
+
+
+def test_both_bundled_pools_are_found():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:  # numpy before 1.25 prints its configuration only
+        pytest.skip("numpy does not report the BLAS it was built with")
+    if _lapack.LIBRARY is None or blas != "scipy-openblas":
+        pytest.skip("numpy or scipy does not bundle its own OpenBLAS here")
+    assert len(_lapack._POOLS) == 2
+
+
+@needs_pools
+def test_one_thread_restores_the_counts_it_found(two_threads):
+    with _lapack.one_thread():
+        assert pool_counts() == ONE
+        with _lapack.one_thread():
+            assert pool_counts() == ONE
+        assert pool_counts() == ONE, "a nested body must keep one thread"
+    assert pool_counts() == TWO
+    with pytest.raises(KeyError):
+        with _lapack.one_thread():
+            with _lapack.one_thread():
+                raise KeyError("inside")
+    assert pool_counts() == TWO
+    assert _lapack._pin_depth == 0
+
+
+@needs_pools
+def test_one_thread_holds_across_python_threads(two_threads):
+    seen = []
+
+    def enter_and_leave():
+        for _ in range(300):
+            with _lapack.one_thread():
+                seen.append(pool_counts())
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=enter_and_leave) for _ in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(seen) == 1200 and all(counts == ONE for counts in seen)
+    assert pool_counts() == TWO
+
+
+def test_a_missing_library_or_setter_leaves_the_pool_alone(monkeypatch):
+    monkeypatch.setattr(_lapack.glob, "glob", lambda pattern: [])
+    monkeypatch.setattr(_lapack, "LIBRARY", None)
+    assert _lapack._thread_pools() == []
+    monkeypatch.setattr(_lapack, "LIBRARY", ctypes.util.find_library("c"))
+    assert _lapack._thread_pools() == []
+    monkeypatch.setattr(_lapack, "_POOLS", [])
+    with _lapack.one_thread():
+        pass
 
 
 def test_importing_the_cli_loads_no_scipy_module():

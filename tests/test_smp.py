@@ -118,6 +118,17 @@ class TestAdjointChain:
         with pytest.raises(ContractError, match="n_steps"):
             solve_adjoint_k(0.0, 0.0, -1)
 
+    @pytest.mark.parametrize(
+        "f_y,f_z,name,shown",
+        [("a", 0.0, "f_y", "'a'"), (np.nan, 0.0, "f_y", "nan"), (0.5, [0.0, "b"], "f_z", "[0.0, 'b']")],
+        ids=["string", "nan", "string-in-table"],
+    )
+    def test_tables_must_be_finite_numbers(self, f_y, f_z, name, shown):
+        # A string raised numpy's ValueError, and NaN gave a NaN chain.
+        message = f"{name} must be a finite number or a per-step table of them, got {shown}"
+        with pytest.raises(ContractError, match=re.escape(message)):
+            solve_adjoint_k(f_y, f_z, 4)
+
 
 def loop_chain(f_y, n_steps, f_z=0.0, eta=None):
     """The chain k as the step loop over numpy values it replaced."""
@@ -563,6 +574,24 @@ class TestWholeGridBracket:
                 message = f"{name} must be a scalar, (steps,) or (37, steps), got {bad}"
                 with pytest.raises(ContractError, match=re.escape(message)):
                     bracket_values(self.coeffs, self.cost, state, adjoint, sys=sys, **kwargs)
+
+    def test_solutions_of_other_paths_are_refused(self):
+        # numpy's "operands could not be broadcast together" leaked from the
+        # first block.
+        sys, _, state, rng = self.setup()
+        k = solve_adjoint_k(0.4, 0.0, self.horizon)
+        adjoint = solve_adjoint_pq(0.1, 0.0, 0.3, k, self.horizon, 0.5, 1.5)
+        other = BsdeSolution(
+            y=rng.standard_normal((5, self.horizon + 1)), z=rng.standard_normal((5, self.horizon)),
+            lam=0.5, gamma_exp=1.5, backend="regression",
+        )
+        steps = self.horizon + 1
+        for name, kwargs in (("adjoint.y", {"adjoint": other}),
+                             ("cost_solution.y", {"adjoint": adjoint, "cost_solution": other})):
+            message = (f"{name} must be a scalar, (steps,) or (37, steps), got (5, {steps}); "
+                       f"the state has shape (37, {steps})")
+            with pytest.raises(ContractError, match=re.escape(message)):
+                bracket_values(self.coeffs, self.cost, state, k=k, sys=sys, **kwargs)
 
     def test_partials_receive_the_step_array(self):
         sys, _, state, _ = self.setup()
