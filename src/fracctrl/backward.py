@@ -53,7 +53,7 @@ import numpy as np
 from ._lapack import potrf, potrs
 from .errors import ContractError, NumericalError, require
 from .forward import StatePath
-from .fracnoise import InnovationSystem, prediction_matrix
+from .fracnoise import InnovationSystem, _draw_innovations, prediction_matrix
 from .spaces import WeightedNormParams, weighted_norm
 
 __all__ = [
@@ -90,8 +90,10 @@ class DriverSpec:
 class BsdeSolution:
     """Backward pair on a truncated horizon: y over 0..N, z over 0..N-1.
 
-    ``diagnostics`` holds the regression fits' health (``fit_min_singular``,
-    ``fit_max_cond``, ``fit_fallbacks``); it is empty for an exact solve.
+    ``y`` has shape (paths, N + 1) with N >= 0 and ``z`` shape (paths, N);
+    other shapes raise ContractError.  ``diagnostics`` holds the regression
+    fits' health (``fit_min_singular``, ``fit_max_cond``, ``fit_fallbacks``);
+    it is empty for an exact solve.
     """
 
     y: np.ndarray
@@ -100,6 +102,16 @@ class BsdeSolution:
     gamma_exp: float
     backend: str
     diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        y_shape, z_shape = np.shape(self.y), np.shape(self.z)
+        if len(y_shape) != 2 or y_shape[1] < 1:
+            raise ContractError(f"y must have shape (paths, N + 1) with N >= 0, got {y_shape}")
+        if z_shape != (y_shape[0], y_shape[1] - 1):
+            raise ContractError(
+                f"z must have shape {(y_shape[0], y_shape[1] - 1)} to match y of shape {y_shape}, "
+                f"got {z_shape}"
+            )
 
     @property
     def truncation(self) -> int:
@@ -363,6 +375,9 @@ def solve_truncated(
     required whenever the driver has a g-term, and must extend one row past
     the truncation so the prediction at prefix length N exists.
     ``control_values`` defaults to the controls realized in ``state``.
+    The regression backend reads the state's innovations; where its noise
+    holds ``eta = None`` (run_experiment's ensemble) they are redrawn from
+    the noise's seed, the same draws sample_ensemble made, bit for bit.
     """
     require("truncation", truncation, int)
     require("lam", lam, float)
@@ -381,7 +396,7 @@ def solve_truncated(
     if state is None:
         if backend != "exact":
             raise ContractError("the regression backend needs a simulated state ensemble")
-        xi = eta = None
+        xi = None
     else:
         if state.horizon < n_trunc:
             raise ContractError(
@@ -389,7 +404,7 @@ def solve_truncated(
             )
         n_paths = state.n_paths
         x_all = state.values
-        xi, eta = state.noise.xi, state.noise.eta
+        xi = state.noise.xi
     if control_values is None and state is not None:
         control_values = state.controls
     if control_values is not None:
@@ -421,6 +436,10 @@ def solve_truncated(
     z = np.zeros((n_trunc + 1, n_paths))
     # One design for the whole solve; its targets hold a step's Y and Z targets.
     cache = None if backend == "exact" else _Design(n_paths, min(window, n_trunc - 1), degree, 2)
+    if cache is not None:
+        eta = state.noise.eta
+        if eta is None:  # run_experiment's ensemble: the seed's draws, redrawn
+            eta = _draw_innovations(state.noise.seed, xi.shape)
     health = {}
     singular_min, cond_max, fallbacks = np.inf, 0.0, 0
     for n in range(n_trunc - 1, -1, -1):

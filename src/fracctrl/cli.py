@@ -97,8 +97,10 @@ def _invest_config(args) -> InvestConfig:
     }
     data.update({k: v for k, v in overrides.items() if v is not None})
     config = InvestConfig(**data)
-    # beta and gamma (N x N), then the noise, its innovations, the wealth
-    # and the controls (paths x N or N + 1), held together.
+    # beta and gamma (N x N), then four of the five (paths x N or N + 1)
+    # grids a run holds at its peak: the noise, its predictions, the wealth
+    # and the controls.  The fifth, the rule's x-free grid or the bracket,
+    # is left out, so the count stays a lower bound.
     n, paths = config.horizon, config.paths
     _within_memory(f"--N {n} with --paths {paths}", 8 * (2 * n * n + 4 * paths * (n + 1)))
     return config

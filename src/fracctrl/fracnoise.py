@@ -260,12 +260,21 @@ class NoiseEnsemble:
     sample_ensemble stores ``xi`` as the transpose of a step-major
     (n_steps, n_paths) buffer, so ``xi[:, n]`` is contiguous and a window of
     steps ``xi[:, a:b]`` is Fortran-contiguous.  An ensemble built by hand may
-    hold arrays in any layout; every reader accepts them.
+    hold arrays in any layout; every reader accepts them.  ``eta`` may be
+    None, as in run_experiment's ensemble: the innovations are then the
+    seed's draws of ``xi``'s shape, and a reader redraws them with
+    ``_draw_innovations(seed, xi.shape)``, bit for bit.
     """
 
     seed: int
-    eta: np.ndarray
+    eta: np.ndarray | None
     xi: np.ndarray
+
+
+def _draw_innovations(seed: int, shape) -> np.ndarray:
+    """The iid standard normals of ``seed``, path-major: sample_ensemble's
+    ``eta`` of this shape."""
+    return np.random.default_rng(seed).standard_normal(shape)
 
 
 # Entries of the product per block of paths in _step_major's transposing
@@ -314,8 +323,7 @@ def sample_ensemble(
         raise ContractError(
             f"n_steps must lie in [1, horizon={system.horizon}], got {n_steps}"
         )
-    rng = np.random.default_rng(seed)
-    eta = rng.standard_normal((n_paths, n_steps))
+    eta = _draw_innovations(seed, (n_paths, n_steps))
     with one_thread():
         product = eta @ system.beta[:n_steps, :n_steps].T
     xi = _step_major(product)

@@ -341,6 +341,9 @@ class InvestResult:
     ``controls`` and ``bracket`` are step-major (Fortran-order) arrays, as
     ``state.values`` is; ``state.controls`` is a view of the first
     ``horizon`` columns of ``controls``, not a second copy.
+    ``state.noise.eta`` is None: the run drops the innovations once the
+    noise is made, and a regression solve along ``state`` redraws them from
+    ``state.noise.seed``, bit for bit.
     """
 
     config: InvestConfig
@@ -464,6 +467,9 @@ def run_experiment(
     """
     sys = build_innovation_system(config.hurst, config.horizon + 1)
     noise = sample_ensemble(sys, config.seed, config.paths, n_steps=config.horizon)
+    # Nothing below reads the innovations, and a regression solve along the
+    # state redraws them from the seed: hold one (paths, steps) grid fewer.
+    noise = replace(noise, eta=None)
     adjoint = solve_adjoint(config)
     # The predictions depend on the noise alone: one product serves the rule
     # at every step and the bracket.

@@ -144,15 +144,22 @@ def solve_adjoint_pq(
     therefore needs ``sys``; otherwise the solve is free of the innovation
     system and, for deterministic tables, of any simulated state.  Scalar or
     1-D tables are read as Python floats, so a deterministic solve does no
-    per-step array work.
+    per-step array work.  A table must hold finite numbers over steps
+    0..truncation at least, 1-D or, along a state, one row per path; any
+    other table raises ContractError naming it.
     """
     require("truncation", truncation, int)
-    need_g = bool(np.any(np.asarray(sigma_x, dtype=float) != 0.0))
+    n_steps = int(truncation) + 1
+    n_paths = None if state is None else state.n_paths
+    bx, sx, fx, kk = (
+        _pair_table(name, t, n_steps, n_paths)
+        for name, t in (("b_x", b_x), ("sigma_x", sigma_x), ("f_x", f_x), ("k", k))
+    )
+    need_g = bool(np.any(sx != 0.0))
     if need_g and sys is None:
         raise ContractError("a nonzero sigma_x needs the innovation system for predictions")
-    n_steps = int(truncation) + 1
     bd = np.diag(sys.beta)[:n_steps].tolist() if sys is not None else [1.0] * n_steps
-    bx, sx, fx, kk = (_per_step(t, n_steps) for t in (b_x, sigma_x, f_x, k))
+    bx, sx, fx, kk = (_per_step(t, n_steps) for t in (bx, sx, fx, kk))
 
     def f(m, x, y, z, u):
         return bx[m] * y + bd[m] * sx[m] * z - fx[m] * kk[m]
@@ -162,6 +169,21 @@ def solve_adjoint_pq(
         DriverSpec(f=f, g=g), state, sys, truncation, lam, gamma_exp,
         backend=backend, window=window, degree=degree,
     )
+
+
+def _pair_table(name: str, table, n_steps: int, n_paths: int | None) -> np.ndarray:
+    """A table of solve_adjoint_pq as floats: a finite scalar, or finite
+    entries over at least ``n_steps`` steps, 1-D or, along a state of
+    ``n_paths`` paths, (n_paths, steps); ContractError naming it otherwise."""
+    values = _chain_table(name, table)
+    if values.ndim == 0:
+        return values
+    if values.ndim > 2 or values.shape[-1] < n_steps or values.ndim == 2 and values.shape[0] != n_paths:
+        rows = "" if n_paths is None else f", or ({n_paths}, >= {n_steps}) along the state's paths"
+        raise ContractError(
+            f"{name} must be a scalar or a table of shape (>= {n_steps},){rows}, got shape {values.shape}"
+        )
+    return values
 
 
 def _per_step(table, n_steps: int) -> list:

@@ -128,9 +128,15 @@ def weighted_norm(values, params: WeightedNormParams) -> WeightedNormResult:
 
     ``values`` holds x_0, ..., x_N along the last axis, one row per path when
     2-dimensional; expectations are ensemble means.  The norm sums every
-    supplied step; for a shorter truncation, slice ``values``.
+    supplied step; for a shorter truncation, slice ``values``.  Values that
+    are not numbers, or not finite, raise ContractError.
     """
-    values = np.asarray(values, dtype=float)
+    try:
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or not np.isfinite(values).all():
+        raise ContractError("values must be finite numbers")
     if values.ndim == 1:
         values = values[None, :]
     if values.ndim != 2 or values.shape[1] == 0:

@@ -1,6 +1,7 @@
 """Tests for the truncated backward solver and its two backends."""
 
 import json
+import re
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -851,6 +852,28 @@ class TestCauchyDiagnostic:
 def write_solution_table(solution, path):
     """(path_id, n, Y, Z) rows of a solve; Z is empty at the terminal."""
     write_csv(path, "path_id,n,Y,Z", [(solution.y.shape, [0, 1, solution.y, solution.z])])
+
+
+class TestSolutionShapes:
+    @staticmethod
+    def solution(y, z):
+        return BsdeSolution(y=y, z=z, lam=0.5, gamma_exp=1.5, backend="exact")
+
+    @pytest.mark.parametrize("y", [np.zeros(5), np.zeros((2, 5, 1)), np.float64(1.0), np.zeros((2, 0))],
+                             ids=["1-D", "3-D", "scalar", "no step"])
+    def test_y_that_is_not_paths_by_steps_is_refused(self, y):
+        with pytest.raises(ContractError, match=rf"y must have shape \(paths, N \+ 1\).*{re.escape(str(np.shape(y)))}"):
+            self.solution(y, np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("z_shape", [(2, 5), (2, 3), (1, 4), (4,), (2, 4, 1)])
+    def test_z_that_does_not_match_y_is_refused(self, z_shape):
+        with pytest.raises(ContractError, match=re.escape(f"z must have shape (2, 4) to match y of shape (2, 5), got {z_shape}")):
+            self.solution(np.zeros((2, 5)), np.zeros(z_shape))
+
+    def test_matching_shapes_are_kept_as_given(self):
+        y, z = np.zeros((3, 1)), np.zeros((3, 0))
+        solution = self.solution(y, z)
+        assert solution.y is y and solution.z is z and solution.truncation == 0
 
 
 class TestSolutionCsv:

@@ -331,6 +331,14 @@ class TestSampling:
         assert np.array_equal(ens.xi, ens.eta @ sys.beta[:n, :n].T)
         assert all(ens.xi[:, k].flags.c_contiguous for k in range(n))
 
+    @pytest.mark.parametrize("paths,n_steps,seed", [(1, 8, 0), (3000, 50, 7919), (100, 400, 3)])
+    def test_redrawn_innovations_are_the_sampled_ones(self, paths, n_steps, seed):
+        sys = fn.build_innovation_system(0.75, n_steps)
+        ens = fn.sample_ensemble(sys, seed=seed, n_paths=paths)
+        redrawn = fn._draw_innovations(ens.seed, ens.xi.shape)
+        assert np.array_equal(redrawn, ens.eta)
+        assert redrawn.flags.c_contiguous and ens.eta.flags.c_contiguous
+
     @pytest.mark.parametrize("entries", [1, 7, 100])
     def test_copy_blocks_do_not_change_the_ensemble(self, monkeypatch, entries):
         # One path per block, and blocks that do not divide the paths.

@@ -1,7 +1,8 @@
 """Tests for the investment/consumption application."""
 import json
+import tracemalloc
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fracctrl import invest as invest_module
+from fracctrl.backward import solve_truncated
 from fracctrl.errors import ContractError, NumericalError
 from fracctrl.forward import ControlProcess, simulate_state, simulate_variation
 from fracctrl.fracnoise import (
@@ -411,6 +413,62 @@ class TestRunExperiment:
         rule = control_rule(cfg, sys, adj)
         with pytest.raises(ContractError, match="truncation"):
             rule(adj.truncation + 1, np.ones(2), np.zeros((2, 2)))
+
+
+class TestDroppedInnovations:
+    """run_experiment's ensemble holds no innovations; a regression solve
+    along its state redraws them from the seed, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            small_config(paths=3001),
+            InvestConfig(hurst=0.3, horizon=30, paths=40, seed=2, consumption_times=(4, 9, 33)),
+        ],
+        ids=["small", "csv-run"],
+    )
+    def test_solves_along_the_run_read_the_sampled_innovations(self, config):
+        result = run_experiment(config)
+        assert result.state.noise.eta is None
+        sys = build_innovation_system(config.hurst, config.horizon + 1)
+        sampled = sample_ensemble(sys, config.seed, config.paths, n_steps=config.horizon)
+        assert np.array_equal(result.state.noise.xi, sampled.xi)
+        held = replace(result.state, noise=sampled)
+        chi = consumption_indicator(config, config.horizon)
+        directions = 0.3 * np.maximum(result.state.values * (1 - config.c * chi), 0.0) - result.controls
+        coeffs = coefficient_set(config)
+        for solve in (
+            lambda state: solve_truncated(
+                cost_driver(config), state, None, config.horizon, config.lam, config.gamma_exp,
+                control_values=result.controls,
+            ),
+            lambda state: solve_variational(
+                -config.wealth_weight * chi, 0.5 * config.lam, 0.0, 0.02 * result.controls,
+                simulate_variation(coeffs, state, directions[:, :-1]), directions,
+                config.horizon, config.lam, config.gamma_exp, window=2,
+            ),
+        ):
+            got, want = solve(result.state), solve(held)
+            assert np.array_equal(got.y, want.y) and np.array_equal(got.z, want.z)
+            assert np.any(got.z != 0.0), "Z must read the innovations for the check to bite"
+            assert got.diagnostics == want.diagnostics
+
+    def test_the_run_holds_at_most_five_grids(self):
+        # At its peak a run holds the noise, the predictions, the rule's
+        # x-free grid (or the bracket), the wealth and the controls.
+        config = InvestConfig(paths=20000, horizon=50)
+        grid = config.paths * (config.horizon + 1) * 8
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 5.5 * grid, f"peak {peak} bytes is {peak / grid:.2f} grids of {grid} bytes"
 
 
 def per_step_prediction_run(config):

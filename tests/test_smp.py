@@ -239,6 +239,53 @@ class TestAdjointPair:
         with pytest.raises(ContractError, match="innovation system"):
             solve_adjoint_pq(0.1, 0.2, 0.3, k, 3, 1.0, 2.0)
 
+    @staticmethod
+    def solve(state=None, **tables):
+        """solve_adjoint_pq at truncation 4 with default tables, ``tables`` replacing some."""
+        args = dict(b_x=0.1, sigma_x=0.0, f_x=0.3, k=solve_adjoint_k(0.4, 0.0, 4))
+        args.update(tables)
+        return solve_adjoint_pq(**args, truncation=4, lam=0.5, gamma_exp=1.5, state=state)
+
+    @pytest.mark.parametrize("name", ["b_x", "sigma_x", "f_x", "k"])
+    @pytest.mark.parametrize("table", ["a", ["0.1", "x"], None], ids=["string", "strings", "none"])
+    def test_non_numeric_tables_are_refused_by_name(self, name, table):
+        with pytest.raises(ContractError, match=f"^{name} must be a finite number"):
+            self.solve(**{name: table})
+
+    @pytest.mark.parametrize("name", ["b_x", "sigma_x", "f_x", "k"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tables_are_refused_by_name(self, name, bad):
+        table = np.full(5, 0.1)
+        table[3] = bad
+        with pytest.raises(ContractError, match=f"^{name} must be a finite number"):
+            self.solve(**{name: table})
+        with pytest.raises(ContractError, match=f"^{name} must be a finite number"):
+            self.solve(**{name: bad})
+
+    @pytest.mark.parametrize("name", ["b_x", "sigma_x", "f_x", "k"])
+    def test_tables_short_of_the_truncation_are_refused_by_name(self, name):
+        for steps in (0, 1, 4):
+            with pytest.raises(ContractError, match=rf"^{name} must be .* \(>= 5,\).*got shape \({steps},\)"):
+                self.solve(**{name: np.zeros(steps)})
+        assert self.solve(**{name: np.zeros(5)}).truncation == 4
+
+    @pytest.mark.parametrize("name", ["b_x", "f_x", "k"])
+    def test_two_dimensional_tables_of_the_wrong_shape_are_refused_by_name(self, name):
+        sys = build_innovation_system(0.75, 5)
+        noise = sample_ensemble(sys, 5, 3, n_steps=4)
+        state = simulate_state(linear_coeffs(), ControlProcess(values=np.zeros(4)), noise, 1.0)
+        for table, state_of in (
+            (np.zeros((3, 5)), None),  # per-path rows with no state
+            (np.zeros((2, 5)), state),  # rows for another path count
+            (np.zeros((3, 4)), state),  # a step short
+            (np.zeros((1, 3, 5)), state),
+        ):
+            with pytest.raises(ContractError, match=rf"^{name} must be .* got shape {re.escape(str(table.shape))}"):
+                self.solve(state_of, **{name: table})
+        one_row = self.solve(**{name: np.full(5, 0.2)})
+        per_path = self.solve(state, **{name: np.full((3, 5), 0.2)})
+        assert np.array_equal(per_path.y, np.broadcast_to(one_row.y, (3, 5)))
+
     def test_white_noise_kills_the_prediction_term(self):
         sys = build_innovation_system(0.5, 5)
         noise = sample_ensemble(sys, 3, 8)

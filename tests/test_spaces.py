@@ -110,6 +110,25 @@ class TestWeightedNorm:
             sp.weighted_norm(np.ones(4), params, truncation=2)
 
     @pytest.mark.parametrize(
+        "values",
+        ["abc", ["1", "x"], None, [1.0, np.nan], np.array([[1.0, 2.0], [np.inf, 0.0]]), -np.inf,
+         [[1.0, 2.0], [3.0]]],
+        ids=["string", "strings", "none", "nan", "inf", "scalar-inf", "ragged"],
+    )
+    def test_non_numbers_and_non_finite_values_are_refused(self, values):
+        params = sp.WeightedNormParams(lam=1.0, gamma_exp=2.0, base_power=2.0)
+        with pytest.raises(ContractError, match="values must be finite numbers"):
+            sp.weighted_norm(values, params)
+
+    def test_finite_values_keep_the_direct_sum(self):
+        params = sp.WeightedNormParams(lam=0.3, gamma_exp=1.5, base_power=1.5, theta=2.0)
+        values = np.random.default_rng(5).standard_normal((40, 9))
+        terms = params.weights(8) * np.mean(np.abs(values) ** params.exponents(8), axis=0)
+        got = sp.weighted_norm(values, params)
+        assert got.value == float(np.sum(terms)) and got.tail_term == float(terms[-1])
+        assert sp.weighted_norm([1, 2, 3], params) == sp.weighted_norm(np.array([1.0, 2.0, 3.0]), params)
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("lam", np.nan),
