@@ -51,7 +51,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._lapack import potrf, potrs
-from .errors import ContractError, NumericalError, require
+from .errors import ContractError, NumericalError, floats, require
 from .forward import StatePath
 from .fracnoise import InnovationSystem, _draw_innovations, prediction_matrix
 from .spaces import WeightedNormParams, weighted_norm
@@ -264,14 +264,12 @@ def conditional_expectation(
     took the SVD solve (``fallback``).  ``cache`` is the design a backward
     solve keeps across its steps; a single fit builds its own.
     """
-    targets = np.asarray(targets, dtype=float)
+    targets = floats("targets", targets)
     if targets.ndim not in (1, 2) or len(targets) == 0:
         raise ContractError(
             f"targets must have shape (n_paths,) or (n_paths, k) with n_paths >= 1, "
             f"got {targets.shape}"
         )
-    if not np.isfinite(targets).all():
-        raise ContractError("targets must be finite")
     require("degree", degree, int)
     if degree < 0:
         raise ContractError(f"degree must be >= 0, got {degree}")
@@ -286,14 +284,7 @@ def conditional_expectation(
         return np.full(targets.shape, 0.5 * (lo + hi))
     if backend != "regression":
         raise ContractError(f"backend must be 'exact' or 'regression', got {backend!r}")
-    features = None if features is None else np.asarray(features, dtype=float)
-    if features is None or features.ndim != 2 or features.shape[0] != targets.shape[0]:
-        raise ContractError(
-            f"features must have shape (n_paths, window) with the {targets.shape[0]} rows "
-            f"of targets, got {None if features is None else features.shape}"
-        )
-    if not np.isfinite(features).all():
-        raise ContractError("features must be finite")
+    features = floats("features", features, 2, paths=len(targets))
     width = math.comb(features.shape[1] + degree, degree)
     if targets.shape[0] < width:
         raise ContractError(f"{targets.shape[0]} paths cannot support a {width}-column basis")
@@ -405,10 +396,11 @@ def solve_truncated(
         n_paths = state.n_paths
         x_all = state.values
         xi = state.noise.xi
-    if control_values is None and state is not None:
-        control_values = state.controls
     if control_values is not None:
-        control_values = np.asarray(control_values, dtype=float)
+        paths = 1 if state is None else state.n_paths
+        control_values = floats("control_values", control_values, (1, 2), paths=paths)
+    elif state is not None:
+        control_values = state.controls
 
     predictions = None
     if driver.g is not None:

@@ -100,9 +100,14 @@ def _invest_config(args) -> InvestConfig:
     # beta and gamma (N x N), then four of the five (paths x N or N + 1)
     # grids a run holds at its peak: the noise, its predictions, the wealth
     # and the controls.  The fifth, the rule's x-free grid or the bracket,
-    # is left out, so the count stays a lower bound.
-    n, paths = config.horizon, config.paths
-    _within_memory(f"--N {n} with --paths {paths}", 8 * (2 * n * n + 4 * paths * (n + 1)))
+    # is left out, so the count stays a lower bound.  The adjoint's k, chi,
+    # b_x, f_x, p and q run to its truncation, which consumption dates far
+    # past the horizon push out.
+    n, paths, truncation = config.horizon, config.paths, config.adjoint_truncation()
+    _within_memory(
+        f"adjoint truncation {truncation}, --N {n} with --paths {paths}",
+        8 * (2 * n * n + 4 * paths * (n + 1) + 6 * (truncation + 1)),
+    )
     return config
 
 

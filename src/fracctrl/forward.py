@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ContractError, NumericalError, require
+from .errors import ContractError, NumericalError, floats, require
 from .fracnoise import NoiseEnsemble
 
 __all__ = [
@@ -76,16 +76,14 @@ class ControlProcess:
         if (self.values is None) == (self.rule is None):
             raise ContractError("exactly one of values/rule must be given")
         if self.values is not None:
-            self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
-            if self.values.ndim > 2:
-                raise ContractError(f"values must be 1- or 2-dimensional, got shape {self.values.shape}")
+            self.values = np.atleast_1d(floats("values", self.values, (0, 1, 2)))
 
     def at(self, n: int, x: np.ndarray, xi_hist: np.ndarray) -> np.ndarray:
         if self.rule is not None:
             u = self.rule(n, x, xi_hist)
             if isinstance(u, np.ndarray) and u.dtype == np.float64 and u.shape == x.shape:
                 return u
-            return np.broadcast_to(np.asarray(u, dtype=float), x.shape)
+            return np.broadcast_to(floats("rule", u, (0, 1), paths=x.shape[0], finite=False), x.shape)
         if n >= self.values.shape[-1]:
             raise ContractError(f"control has {self.values.shape[-1]} steps, step {n} requested")
         col = self.values[..., n]
@@ -113,20 +111,6 @@ class StatePath:
         return self.values.shape[0]
 
 
-def _initial_states(x0, n_paths: int) -> np.ndarray:
-    try:
-        x = np.asarray(x0, dtype=float)
-    except (TypeError, ValueError):
-        raise ContractError(f"x0 must be a scalar or an array, got {type(x0).__name__}") from None
-    if not np.isfinite(x).all():
-        raise ContractError(f"x0 must be finite, got {x0!r}")
-    if x.ndim == 0:
-        return np.full(n_paths, float(x))
-    if x.shape != (n_paths,):
-        raise ContractError(f"x0 must be scalar or shape ({n_paths},), got {x.shape}")
-    return x.copy()
-
-
 def simulate_state(
     coeffs: CoefficientSet, control: ControlProcess, noise: NoiseEnsemble, x0
 ) -> StatePath:
@@ -143,7 +127,7 @@ def simulate_state(
         raise ContractError(f"control values of shape {shape} do not match the noise's {xi.shape}")
     values = np.empty((n_steps + 1, n_paths))
     controls = np.empty((n_steps, n_paths))
-    values[0] = _initial_states(x0, n_paths)
+    values[0] = floats("x0", x0, (0, 1), paths=n_paths)
     for n in range(n_steps):
         x = values[n]
         u = control.at(n, x, xi[:, :n])
@@ -166,13 +150,9 @@ def simulate_variation(coeffs: CoefficientSet, state: StatePath, direction) -> S
     """
     xi = state.noise.xi
     n_paths, n_steps = xi.shape
-    v = np.asarray(direction, dtype=float)
-    if v.ndim not in (1, 2) or v.ndim == 2 and v.shape[0] not in (1, n_paths):
-        raise ContractError(f"direction must have shape (steps,) or ({n_paths}, steps), got {v.shape}")
+    v = floats("direction", direction, (1, 2), paths=n_paths, steps=n_steps)
     if v.ndim == 1:
         v = np.broadcast_to(v, (n_paths, v.shape[0]))
-    if v.shape[1] < n_steps:
-        raise ContractError(f"direction has {v.shape[1]} steps, horizon needs {n_steps}")
     v = np.ascontiguousarray(v[:, :n_steps].T)
     values = np.zeros((n_steps + 1, n_paths))
     for n in range(n_steps):
@@ -184,12 +164,12 @@ def simulate_variation(coeffs: CoefficientSet, state: StatePath, direction) -> S
     return StatePath(values=values.T, controls=v.T, noise=state.noise)
 
 
-def _control_values(u) -> np.ndarray:
+def _control_values(name: str, u) -> np.ndarray:
     if isinstance(u, ControlProcess):
         if u.values is None:
             raise ContractError("perturbation needs value-based controls; realize the rule first")
         return u.values
-    return np.asarray(u, dtype=float)
+    return floats(name, u, (1, 2))
 
 
 def perturb_control(u_star, u_tilde, eps: float) -> ControlProcess:
@@ -198,7 +178,7 @@ def perturb_control(u_star, u_tilde, eps: float) -> ControlProcess:
     eps = float(eps)
     if not 0.0 <= eps <= 1.0:
         raise ContractError(f"eps must lie in [0, 1], got {eps}")
-    a, b = _control_values(u_star), _control_values(u_tilde)
+    a, b = _control_values("u_star", u_star), _control_values("u_tilde", u_tilde)
     if a.shape[-1] != b.shape[-1]:
         raise ContractError(f"control lengths differ: {a.shape[-1]} vs {b.shape[-1]}")
     return ControlProcess(values=(1.0 - eps) * a + eps * b)

@@ -50,7 +50,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._csv import write_csv
 from ._lapack import one_thread, potrf
-from .errors import ContractError, NumericalError, require
+from .errors import ContractError, NumericalError, floats, require
 
 __all__ = [
     "InnovationSystem",
@@ -335,15 +335,14 @@ def predict_next(system: InnovationSystem, prefix) -> np.ndarray:
 
     ``prefix`` has shape (paths, n), one row per path; the empty prefix
     yields the unconditional mean 0.  Requires n <= horizon - 1 so that
-    prediction row n exists.  The order of the sum over k follows the
+    prediction row n exists; a NaN or inf in the prefix raises
+    ContractError.  The order of the sum over k follows the
     prefix's memory layout, so a Fortran-order prefix (a slice of
     sample_ensemble's xi) and a C-order copy of it may differ in the last
     bits; tests bound the difference by 1e-14 of sum_k |xi_k gamma(n, k)|.
     """
     _check_system(system)
-    prefix = np.asarray(prefix, dtype=float)
-    if prefix.ndim != 2:
-        raise ContractError(f"prefix must have shape (paths, steps), got {prefix.shape}")
+    prefix = floats("prefix", prefix, 2, finite=False)
     n = prefix.shape[1]
     if n > system.horizon - 1:
         raise ContractError(
@@ -352,8 +351,13 @@ def predict_next(system: InnovationSystem, prefix) -> np.ndarray:
         )
     if n == 0:
         return np.zeros(prefix.shape[0])
-    with one_thread():
-        return prefix @ system.gamma[n, :n]
+    with one_thread(), np.errstate(invalid="ignore"):
+        pred = prefix @ system.gamma[n, :n]
+    # A NaN or inf in the prefix shows in its path's prediction, so the
+    # (paths,) result is scanned for it rather than the whole prefix.
+    if not np.isfinite(pred).all():
+        floats("prefix", prefix, 2)
+    return pred
 
 
 def prediction_matrix(system: InnovationSystem, xi, n_max: int) -> np.ndarray:
@@ -369,9 +373,7 @@ def prediction_matrix(system: InnovationSystem, xi, n_max: int) -> np.ndarray:
     """
     _check_system(system)
     require("n_max", n_max, int)
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 2:
-        raise ContractError(f"xi must have shape (paths, steps), got {xi.shape}")
+    xi = floats("xi", xi, 2, steps=n_max)
     if n_max < 0:
         raise ContractError(f"n_max must be >= 0, got {n_max}")
     if n_max > system.horizon - 1:
@@ -379,8 +381,6 @@ def prediction_matrix(system: InnovationSystem, xi, n_max: int) -> np.ndarray:
             f"prefix of length {n_max} needs prediction row {n_max}; system "
             f"horizon {system.horizon} only provides rows up to {system.horizon - 1}"
         )
-    if xi.shape[1] < n_max:
-        raise ContractError(f"need {n_max} increments per path, got {xi.shape[1]}")
     # gamma is strictly lower triangular, so the terms past each prefix are
     # exact zeros and one product gives every column.
     with one_thread():

@@ -42,7 +42,7 @@ import numpy as np
 
 from ._csv import _replacing, write_csv, write_json
 from .backward import BsdeSolution, DriverSpec
-from .errors import ContractError, NumericalError, require
+from .errors import ContractError, NumericalError, floats, require
 from .forward import CoefficientSet, ControlProcess, StatePath, simulate_state
 from .fracnoise import (
     InnovationSystem,
@@ -294,9 +294,17 @@ def closed_form_control(config: InvestConfig, n: int, x, p_n: float, k_n: float,
 
     Interior root of the bracket, floored at zero before the 1/(beta-1)
     power and capped at post-consumption wealth.  k_0 = 0 removes v from the
-    bracket, so step 0 is bang-bang on the sign of the slope.
+    bracket, so step 0 is bang-bang on the sign of the slope.  ``x`` and
+    ``pred`` are finite numbers or per-path arrays of them.
     """
-    free = _bracket_slope(config, p_n, np.asarray(pred, dtype=float))
+    x = floats("x", x, (0, 1))
+    pred = floats("pred", pred, (0, 1), paths=x.shape[0] if x.ndim else None)
+    return _closed_form(config, n, x, p_n, k_n, pred)
+
+
+def _closed_form(config: InvestConfig, n: int, x, p_n: float, k_n: float, pred):
+    """closed_form_control on checked arrays, as the rule calls it per step."""
+    free = _bracket_slope(config, p_n, pred)
     if k_n != 0.0:
         free = _interior_root(config, free, k_n)
     return _cap_clamp(config, n, x, free, k_n)
@@ -328,7 +336,7 @@ def control_rule(
         if n > n_trunc:
             raise ContractError(f"step {n} is past the adjoint truncation {n_trunc}")
         if free is None:
-            return closed_form_control(config, n, x, p[n], k[n], predict_next(sys, xi_hist))
+            return _closed_form(config, n, x, p[n], k[n], predict_next(sys, xi_hist))
         return _cap_clamp(config, n, x, free[n], k[n])
 
     return rule

@@ -15,7 +15,9 @@ First-order optimality of u* is the pointwise inequality
                 + beta(n,n) sigma_u*(n) q_n - f_u*(n) k_n,
 
 for every admissible u.  Over a per-entry box the worst u sits at a corner,
-so check_necessary_condition certifies the inequality exactly.  The
+so check_necessary_condition certifies the inequality exactly: the
+open-loop inequality for the p and k it is given.  It does not certify p
+itself, nor a feedback rule built from the same p and k.  The
 Hamiltonian aggregates the same ingredients but carries the running cost
 with the opposite sign,
 
@@ -31,10 +33,14 @@ truncation N (so p_N = 0, q_N treated as 0),
     E sum_{n=0}^{N} e^{-lam n^gamma} bracket_n v_n  =  Yhat_0,
 
 including the degenerate terminal term -f_u*(N) k_N v_N.  The identity is
-exact under exact conditional expectations; under the regression backend it
-holds in expectation because least squares with an intercept preserves
-target means and the variational driver is linear with deterministic
-per-step coefficients.
+exact under exact conditional expectations.  Under the regression backend
+it holds in expectation only while the adjoint is deterministic: least
+squares with an intercept preserves target means, and the variational
+driver is then linear with deterministic per-step coefficients.
+
+Array arguments are read through errors.floats, which names the argument
+in its ContractError; check_necessary_condition alone takes NaN and inf,
+as violations.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from .backward import BsdeSolution, DriverSpec, solve_truncated
-from .errors import ContractError, require
+from .errors import ContractError, floats, require
 from .forward import CoefficientSet, StatePath
 from .fracnoise import InnovationSystem, prediction_matrix
 
@@ -75,51 +81,28 @@ def solve_adjoint_k(f_y, f_z, n_steps: int, eta=None) -> np.ndarray:
     require("n_steps", n_steps, int)
     if n_steps < 0:
         raise ContractError(f"n_steps must be >= 0, got {n_steps}")
-    fy, fz = _chain_table("f_y", f_y), _chain_table("f_z", f_z)
-    used = slice(1, n_steps)
-    fz_active = bool(np.any(fz != 0.0)) if fz.ndim == 0 else bool(np.any(fz[..., used] != 0.0))
-    if fz_active and n_steps > 1 and eta is None:
-        raise ContractError("a nonzero f_z makes k noise-driven; pass the innovation array")
     if eta is not None:
-        eta = np.asarray(eta, dtype=float)
-        if eta.ndim != 2 or eta.shape[1] < n_steps:
-            raise ContractError(
-                f"eta must have shape (n_paths, >= {n_steps}), got {eta.shape}"
-            )
-        k = np.zeros((eta.shape[0], n_steps + 1))
-    else:
-        k = np.zeros(n_steps + 1)
+        eta = floats("eta", eta, 2, steps=n_steps)
+    # The chain reads steps 1..n_steps-1 of a table; per-path rows need eta.
+    ndim, rows = ((0, 1), None) if eta is None else ((0, 1, 2), eta.shape[0])
+    fy, fz = (
+        floats(name, table, ndim, paths=rows, steps=n_steps if n_steps > 1 else 0)
+        for name, table in (("f_y", f_y), ("f_z", f_z))
+    )
+    fy, fz = (t if t.ndim == 0 else t[..., 1:n_steps] for t in (fy, fz))
+    if n_steps > 1 and eta is None and np.any(fz != 0.0):
+        raise ContractError("a nonzero f_z makes k noise-driven; pass the innovation array")
+    k = np.zeros(n_steps + 1 if eta is None else (eta.shape[0], n_steps + 1))
     if n_steps >= 1:
         k[..., 1] = -1.0
     # k_{n+1} = k_n g_n from k_1 = -1 is minus the running product of the
     # factors g_n = 1 + f_y(n) (+ f_z(n) eta_n), which accumulate forms left
     # to right, as a step loop does; the sign flip is exact.
-    growth = 1.0 + _chain_steps("f_y", fy, n_steps)
+    growth = 1.0 + fy
     if eta is not None:
-        growth = growth + _chain_steps("f_z", fz, n_steps) * eta[:, 1:n_steps]
+        growth = growth + fz * eta[:, 1:n_steps]
     k[..., 2:] = -np.multiply.accumulate(np.broadcast_to(growth, k[..., 2:].shape), axis=-1)
     return k
-
-
-def _chain_table(name: str, table) -> np.ndarray:
-    """A scalar or per-step table of the chain as floats; ContractError
-    naming it unless it holds finite numbers only."""
-    try:
-        values = np.asarray(table, dtype=float)
-    except (TypeError, ValueError):
-        values = None
-    if values is None or not np.isfinite(values).all():
-        raise ContractError(f"{name} must be a finite number or a per-step table of them, got {table!r}")
-    return values
-
-
-def _chain_steps(name: str, table: np.ndarray, n_steps: int) -> np.ndarray:
-    """Entries 1..n_steps-1 of a scalar or per-step table of the chain."""
-    if table.ndim == 0:
-        return table
-    if n_steps > 1 and table.shape[-1] < n_steps:
-        raise ContractError(f"{name} has {table.shape[-1]} steps, the chain reads steps 1..{n_steps - 1}")
-    return table[..., 1:n_steps]
 
 
 def solve_adjoint_pq(
@@ -145,15 +128,15 @@ def solve_adjoint_pq(
     system and, for deterministic tables, of any simulated state.  Scalar or
     1-D tables are read as Python floats, so a deterministic solve does no
     per-step array work.  A table must hold finite numbers over steps
-    0..truncation at least, 1-D or, along a state, one row per path; any
-    other table raises ContractError naming it.
+    0..truncation at least, 1-D or, along a state, one row per path (or one
+    row shared by all); any other table raises ContractError naming it.
     """
     require("truncation", truncation, int)
     n_steps = int(truncation) + 1
-    n_paths = None if state is None else state.n_paths
+    ndim, rows = ((0, 1), None) if state is None else ((0, 1, 2), state.n_paths)
     bx, sx, fx, kk = (
-        _pair_table(name, t, n_steps, n_paths)
-        for name, t in (("b_x", b_x), ("sigma_x", sigma_x), ("f_x", f_x), ("k", k))
+        floats(name, table, ndim, paths=rows, steps=n_steps)
+        for name, table in (("b_x", b_x), ("sigma_x", sigma_x), ("f_x", f_x), ("k", k))
     )
     need_g = bool(np.any(sx != 0.0))
     if need_g and sys is None:
@@ -171,25 +154,9 @@ def solve_adjoint_pq(
     )
 
 
-def _pair_table(name: str, table, n_steps: int, n_paths: int | None) -> np.ndarray:
-    """A table of solve_adjoint_pq as floats: a finite scalar, or finite
-    entries over at least ``n_steps`` steps, 1-D or, along a state of
-    ``n_paths`` paths, (n_paths, steps); ContractError naming it otherwise."""
-    values = _chain_table(name, table)
-    if values.ndim == 0:
-        return values
-    if values.ndim > 2 or values.shape[-1] < n_steps or values.ndim == 2 and values.shape[0] != n_paths:
-        rows = "" if n_paths is None else f", or ({n_paths}, >= {n_steps}) along the state's paths"
-        raise ContractError(
-            f"{name} must be a scalar or a table of shape (>= {n_steps},){rows}, got shape {values.shape}"
-        )
-    return values
-
-
 def _per_step(table, n_steps: int) -> list:
     """Entries 0..n_steps-1 of a scalar or per-step table, one per step:
     floats for a scalar or 1-D table, per-path columns for a 2-D one."""
-    table = np.asarray(table, dtype=float)
     if table.ndim == 0:
         return [float(table)] * n_steps
     steps = np.moveaxis(table[..., :n_steps], -1, 0)
@@ -254,31 +221,15 @@ def bracket_values(
             f"state horizon {state.horizon} is shorter than the bracket range {n_trunc}"
         )
     n_paths, n_cols = state.n_paths, n_trunc + 1
-    k = np.asarray(k, dtype=float)
-    if k.ndim > 0 and k.shape[-1] < n_cols:
-        raise ContractError(f"k has {k.shape[-1]} steps, the bracket range needs {n_cols}")
-    if cost_solution is not None and cost_solution.y.shape[1] < n_cols:
-        raise ContractError(
-            f"cost_solution covers {cost_solution.y.shape[1]} steps, the bracket range needs {n_cols}"
-        )
-    controls = state.controls if controls is None else np.asarray(controls, dtype=float)
-    tables = [("k", k), ("controls", controls), ("adjoint.y", adjoint.y)]
+    k = floats("k", k, (0, 1, 2), paths=n_paths, steps=n_cols)
+    controls = state.controls if controls is None else floats("controls", controls, (0, 1, 2), paths=n_paths)
+    floats("adjoint.y", adjoint.y, 2, paths=n_paths)
     if cost_solution is not None:
-        tables.append(("cost_solution.y", cost_solution.y))
-    for name, table in tables:
-        if table.ndim > 2 or table.ndim == 2 and table.shape[0] not in (1, n_paths):
-            raise ContractError(
-                f"{name} must be a scalar, (steps,) or ({n_paths}, steps), got {table.shape}; "
-                f"the state has shape {state.values.shape}"
-            )
+        floats("cost_solution.y", cost_solution.y, 2, paths=n_paths, steps=n_cols)
     if predictions is None:
         pred = prediction_matrix(sys, state.noise.xi, n_trunc)
     else:
-        pred = np.asarray(predictions, dtype=float)
-        if pred.ndim != 2 or pred.shape[0] != n_paths or pred.shape[1] < n_cols:
-            raise ContractError(
-                f"predictions must have shape ({n_paths}, >= {n_cols}), got {pred.shape}"
-            )
+        pred = floats("predictions", predictions, 2, paths=n_paths, steps=n_cols)
     steps = np.arange(n_cols)
     beta_diag = np.diag(sys.beta)[:n_cols]
     out = np.empty((n_cols, n_paths)).T
@@ -352,11 +303,12 @@ def check_necessary_condition(
     as +0.0, whatever sign its corner product has), and the violations are
     the first ten.
     """
-    arrays = [np.asarray(a, dtype=float) for a in (bracket, u_star, lower, upper)]
+    names = ("bracket", "u_star", "lower", "upper")
+    arrays = [floats(name, a, finite=False) for name, a in zip(names, (bracket, u_star, lower, upper))]
     try:
         b, us, lo, hi = np.broadcast_arrays(*arrays)
     except ValueError:
-        shapes = ", ".join(f"{n} {a.shape}" for n, a in zip(("bracket", "u_star", "lower", "upper"), arrays))
+        shapes = ", ".join(f"{n} {a.shape}" for n, a in zip(names, arrays))
         raise ContractError(f"the certificate's inputs do not broadcast together: {shapes}") from None
     require("n_trials", n_trials, int)
     if n_trials < 0:
@@ -451,15 +403,14 @@ def solve_variational(
     f_x Xhat + f_y Yhat + f_z Zhat + f_u v.
     """
     require("truncation", truncation, int)
-    n_steps = int(truncation) + 1
+    n_steps, n_paths = int(truncation) + 1, variation.n_paths
     xhat = variation.values
-    v = np.asarray(directions, dtype=float)
-    if v.ndim not in (1, 2) or v.ndim == 2 and v.shape[0] not in (1, variation.n_paths):
-        raise ContractError(f"directions must be (steps,) or ({variation.n_paths}, steps), got {v.shape}")
-    if v.shape[-1] < n_steps:
-        short = n_steps - v.shape[-1]
-        raise ContractError(f"directions cover {v.shape[-1]} steps, {short} short of the {n_steps} read")
-    fx, fy, fz, fu, v = (_per_step(t, n_steps) for t in (f_x, f_y, f_z, f_u, v))
+    fx, fy, fz, fu = (
+        floats(name, table, (0, 1, 2), paths=n_paths, steps=n_steps)
+        for name, table in (("f_x", f_x), ("f_y", f_y), ("f_z", f_z), ("f_u", f_u))
+    )
+    v = floats("directions", directions, (1, 2), paths=n_paths, steps=n_steps)
+    fx, fy, fz, fu, v = (_per_step(t, n_steps) for t in (fx, fy, fz, fu, v))
 
     def f(m, x, y, z, u):
         return fx[m] * xhat[:, m] + fy[m] * y + fz[m] * z + fu[m] * v[m]
@@ -479,17 +430,15 @@ def duality_gap(bracket, directions, variational: BsdeSolution) -> dict:
     The terms are formed in C order, so each path's sum runs in one fixed
     order whatever the layouts of the bracket and the directions.
     """
-    bracket = np.asarray(bracket, dtype=float)
-    if bracket.ndim != 2:
-        raise ContractError(f"bracket must have shape (paths, steps), got {bracket.shape}")
-    v = np.asarray(directions, dtype=float)
+    bracket = floats("bracket", bracket, 2)
+    v = floats("directions", directions, (1, 2))
     n_cols = bracket.shape[-1]
     if n_cols != variational.truncation + 1:
         raise ContractError(
             f"bracket covers {n_cols} steps but the variational solve has "
             f"truncation {variational.truncation}"
         )
-    if v.ndim not in (1, 2) or v.shape[-1] != n_cols or v.ndim == 2 and v.shape[0] not in (1, len(bracket)):
+    if v.shape[-1] != n_cols or v.ndim == 2 and v.shape[0] not in (1, len(bracket)):
         raise ContractError(f"directions of shape {v.shape} do not match the bracket's {bracket.shape}")
     grid = np.arange(n_cols, dtype=float)
     weights = np.exp(-variational.lam * grid**variational.gamma_exp)

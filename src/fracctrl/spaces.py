@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, require
+from .errors import ContractError, floats, require
 
 __all__ = [
     "WeightedNormParams",
@@ -129,14 +129,12 @@ def weighted_norm(values, params: WeightedNormParams) -> WeightedNormResult:
     ``values`` holds x_0, ..., x_N along the last axis, one row per path when
     2-dimensional; expectations are ensemble means.  The norm sums every
     supplied step; for a shorter truncation, slice ``values``.  Values that
-    are not numbers, or not finite, raise ContractError.
+    are not numbers, or not finite, and ``params`` that are not
+    WeightedNormParams raise ContractError.
     """
-    try:
-        values = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        values = None
-    if values is None or not np.isfinite(values).all():
-        raise ContractError("values must be finite numbers")
+    if not isinstance(params, WeightedNormParams):
+        raise ContractError(f"params must be WeightedNormParams, got {type(params).__name__}")
+    values = floats("values", values)
     if values.ndim == 1:
         values = values[None, :]
     if values.ndim != 2 or values.shape[1] == 0:

@@ -388,14 +388,24 @@ class TestFuzzedFlags:
             ("--paths=10000000000000", "--N 2 with --paths 10000000000000 needs", "invest"),
             ("--N=1000000000", "--N 1000000000 needs at least", "noise-check"),
             ("--N-list=2,100000000000", "--N-list 2,100000000000 needs at least", "bsde-converge"),
+        ]
+        + [
+            # A consumption date far past the horizon: the adjoint tables
+            # run to the truncation past it.
+            ("--config={consumption}", "adjoint truncation 1000000000020, --N 2 with --paths 3 needs", command)
+            for command in ("invest", "smp-check")
         ],
     )
     def test_flags_that_once_escaped_exit_2(
         self, command, flag, needle, tmp_path, monkeypatch, capsys, no_large_arrays
     ):
-        monkeypatch.chdir(tmp_path)
-        assert _exit_code([command, *FUZZED_COMMANDS[command][0], flag]) == 2
-        assert os.listdir(tmp_path) == []
+        consumption = tmp_path / "consumption.json"
+        consumption.write_text(json.dumps({"consumption_times": [10**12]}))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert _exit_code([command, *FUZZED_COMMANDS[command][0], flag.format(consumption=consumption)]) == 2
+        assert os.listdir(work) == []
         assert needle in capsys.readouterr().err
 
     def test_invest_reads_its_tolerance(self, monkeypatch):

@@ -235,8 +235,14 @@ class TestSimulateState:
 
     @pytest.mark.parametrize(
         "x0, needle",
-        [(lambda m: np.full(m, 2.0), "a scalar or an array"), ("abc", "a scalar or an array"),
-         ([1.0, "x"], "a scalar or an array"), (None, "finite"), (np.nan, "finite"), (-np.inf, "finite")],
+        [(lambda m: np.full(m, 2.0), "a finite number or a per-path array of them, got <function"),
+         ("abc", "a finite number or a per-path array of them, got 'abc'"),
+         ([1.0, "x"], "a finite number or a per-path array of them, got \\[1.0, 'x'\\]"),
+         (None, "a finite number or a per-path array of them, got None"),
+         (np.nan, "a finite number or a per-path array of them, got nan"),
+         (-np.inf, "a finite number or a per-path array of them, got -inf")],
+        ids=["<lambda>-a scalar or an array", "abc-a scalar or an array", "x02-a scalar or an array",
+             "None-finite", "nan-finite", "-inf-finite"],
     )
     def test_x0_that_is_not_finite_numbers_is_a_contract_error(self, noise16, x0, needle):
         u = fw.ControlProcess(values=np.zeros(16))

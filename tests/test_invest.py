@@ -532,7 +532,7 @@ class TestSharedPredictions:
         result = run_experiment(cfg)
         args = (coefficient_set(cfg), cost_driver(cfg), result.state, result.adjoint.solution,
                 result.adjoint.k, result.system)
-        with pytest.raises(ContractError, match="predictions must have shape"):
+        with pytest.raises(ContractError, match=r"predictions has \d+ steps, 1 short of the \d+ read"):
             bracket_values(*args, controls=result.controls, truncation=cfg.horizon,
                            predictions=np.zeros((cfg.paths, cfg.horizon)))
 
