@@ -97,12 +97,11 @@ def _invest_config(args) -> InvestConfig:
     }
     data.update({k: v for k, v in overrides.items() if v is not None})
     config = InvestConfig(**data)
-    # beta and gamma (N x N), then four of the five (paths x N or N + 1)
-    # grids a run holds at its peak: the noise, its predictions, the wealth
-    # and the controls.  The fifth, the rule's x-free grid or the bracket,
-    # is left out, so the count stays a lower bound.  The adjoint's k, chi,
-    # b_x, f_x, p and q run to its truncation, which consumption dates far
-    # past the horizon push out.
+    # beta and gamma (N x N), then the four (paths x N or N + 1) grids a run
+    # holds at its peak: the noise, its predictions, the wealth and the
+    # controls; its blocks of steps are left out, so the count stays a lower
+    # bound.  The adjoint's k, chi, b_x, f_x, p and q run to its truncation,
+    # which consumption dates far past the horizon push out.
     n, paths, truncation = config.horizon, config.paths, config.adjoint_truncation()
     _within_memory(
         f"adjoint truncation {truncation}, --N {n} with --paths {paths}",

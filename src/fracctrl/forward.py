@@ -46,9 +46,9 @@ class CoefficientSet:
     Each callable takes (n, x, u) with x, u per-path arrays and returns a
     broadcastable array.  The simulators pass the step n as an int.  The
     u-partials b_u and sigma_u also serve the bracket, which evaluates a
-    block of paths over all steps at once: there n is the array of step
-    indices 0..N and x, u are (paths, N + 1) arrays, so they must broadcast
-    in n as well (or ignore it).
+    block of steps over all paths at once: there n is the array of the
+    block's step indices and x, u are (paths, block) arrays, so they must
+    broadcast in n as well (or ignore it).
     """
 
     b: Callable
@@ -96,10 +96,13 @@ class StatePath:
 
     The simulators fill step-major buffers, one contiguous row per step, and
     store their transposes: ``values[:, n]`` is a contiguous view.
+    ``simulate_state(..., terminal=True)`` also evaluates the control at the
+    last state, with the whole noise as its history, into the same buffer:
+    ``controls`` then has horizon + 1 columns.
     """
 
     values: np.ndarray  # (n_paths, horizon + 1)
-    controls: np.ndarray  # (n_paths, horizon)
+    controls: np.ndarray  # (n_paths, horizon), or horizon + 1 with the terminal control
     noise: NoiseEnsemble
 
     @property
@@ -112,12 +115,13 @@ class StatePath:
 
 
 def simulate_state(
-    coeffs: CoefficientSet, control: ControlProcess, noise: NoiseEnsemble, x0
+    coeffs: CoefficientSet, control: ControlProcess, noise: NoiseEnsemble, x0, terminal: bool = False
 ) -> StatePath:
     """Run the state recursion over the ensemble; exact, no discretization.
 
     ``x0`` is the finite initial state: a scalar shared by every path, or an
-    array of shape (n_paths,).  Raises NumericalError naming the first offending
+    array of shape (n_paths,).  ``terminal`` adds the control at the last
+    state (see StatePath).  Raises NumericalError naming the first offending
     path and step if the recursion produces a non-finite value.
     """
     xi = noise.xi
@@ -126,7 +130,7 @@ def simulate_state(
     if shape is not None and len(shape) == 2 and shape[0] not in (1, n_paths):
         raise ContractError(f"control values of shape {shape} do not match the noise's {xi.shape}")
     values = np.empty((n_steps + 1, n_paths))
-    controls = np.empty((n_steps, n_paths))
+    controls = np.empty((n_steps + 1 if terminal else n_steps, n_paths))
     values[0] = floats("x0", x0, (0, 1), paths=n_paths)
     for n in range(n_steps):
         x = values[n]
@@ -139,6 +143,8 @@ def simulate_state(
                 f"state became non-finite at step {n + 1} on path {bad}", detail={"path": bad, "step": n + 1}
             )
         values[n + 1] = x_next
+    if terminal:
+        controls[n_steps] = control.at(n_steps, values[n_steps], xi)
     return StatePath(values=values.T, controls=controls.T, noise=noise)
 
 

@@ -51,13 +51,7 @@ from .fracnoise import (
     prediction_matrix,
     sample_ensemble,
 )
-from .smp import (
-    _step_blocks,
-    bracket_values,
-    check_necessary_condition,
-    solve_adjoint_k,
-    solve_adjoint_pq,
-)
+from .smp import _bracket_blocks, _Certificate, _step_blocks, _witness, solve_adjoint_k, solve_adjoint_pq
 
 __all__ = [
     "InvestConfig",
@@ -112,24 +106,14 @@ class InvestConfig:
             require(name, getattr(self, name), float)
         if not 0 < self.hurst < 1:
             raise ContractError(f"hurst must lie in (0, 1), got {self.hurst}")
-        if self.r <= 0:
-            raise ContractError(f"r must be > 0, got {self.r}")
+        for name, floor in (("r", 0), ("sigma", 0), ("lam", 0), ("gamma_exp", 1), ("beta_exp", 1),
+                            ("wealth_weight", 0), ("risk_weight", 0)):
+            if getattr(self, name) <= floor:
+                raise ContractError(f"{name} must be > {floor}, got {getattr(self, name)}")
         if self.mu <= self.r:
             raise ContractError(f"mu must exceed r, got mu={self.mu}, r={self.r}")
-        if self.sigma <= 0:
-            raise ContractError(f"sigma must be > 0, got {self.sigma}")
-        if self.lam <= 0:
-            raise ContractError(f"lam must be > 0, got {self.lam}")
-        if self.gamma_exp <= 1:
-            raise ContractError(f"gamma_exp must be > 1, got {self.gamma_exp}")
-        if self.beta_exp <= 1:
-            raise ContractError(f"beta_exp must be > 1, got {self.beta_exp}")
         if not 0 < self.c < 1:
             raise ContractError(f"c must lie in (0, 1), got {self.c}")
-        if self.wealth_weight <= 0:
-            raise ContractError(f"wealth_weight must be > 0, got {self.wealth_weight}")
-        if self.risk_weight <= 0:
-            raise ContractError(f"risk_weight must be > 0, got {self.risk_weight}")
         if self.consumption_times is not None:
             if not np.iterable(self.consumption_times):
                 raise ContractError(
@@ -169,7 +153,12 @@ class InvestConfig:
 def consumption_indicator(config: InvestConfig, n_max: int) -> np.ndarray:
     """0/1 table chi_n for n = 0, ..., n_max."""
     require("n_max", n_max, int)
-    return np.array([config.chi(n) for n in range(n_max + 1)])
+    chi = np.zeros(max(n_max + 1, 0))
+    if config.consumption_times is None:
+        chi[config.consumption_period :: config.consumption_period] = 1.0
+    else:
+        chi[[t for t in config.consumption_times if t <= n_max]] = 1.0
+    return chi
 
 
 def adjoint_tables(config: InvestConfig, truncation: int):
@@ -317,27 +306,30 @@ def control_rule(
 
     ``predictions``, the prediction_matrix of the noise the rule will see,
     supplies E[xi_n | F_n] as column n.  The x-free part of the control is
-    then computed once over the whole grid, step-major, and each call only
-    caps row n.  Without it each call predicts from ``xi_hist``.
+    then made for one block of steps (smp._step_blocks) when a call first
+    enters it, and each call only caps its row.  Without it each call
+    predicts from ``xi_hist``.
     """
     p, k, n_trunc = adjoint.p, adjoint.k, adjoint.truncation
-    free = None
     if predictions is not None:
-        n_rows = min(predictions.shape[1], n_trunc + 1)
-        free = np.empty((n_rows, predictions.shape[0]))
-        _bracket_slope(config, p[:n_rows, None], predictions[:, :n_rows].T, out=free)
-        # The root in place on each run of steps where k != 0: no 1/k at k = 0.
-        live = np.concatenate(([False], k[:n_rows] != 0.0, [False]))
-        for start, stop in np.flatnonzero(np.diff(live)).reshape(-1, 2):
-            rows = slice(start, stop)
-            _interior_root(config, free[rows], k[rows, None], out=free[rows])
+        blocks = _step_blocks(predictions.shape[0], min(predictions.shape[1], n_trunc + 1))
+        held = [slice(0, 0), None]  # the block of steps in hand and its x-free part
 
     def rule(n: int, x, xi_hist):
         if n > n_trunc:
             raise ContractError(f"step {n} is past the adjoint truncation {n_trunc}")
-        if free is None:
+        if predictions is None:
             return _closed_form(config, n, x, p[n], k[n], predict_next(sys, xi_hist))
-        return _cap_clamp(config, n, x, free[n], k[n])
+        if not held[0].start <= n < held[0].stop:
+            rows = held[0] = blocks[n // blocks[0].stop]
+            free = held[1] = np.empty((rows.stop - rows.start, predictions.shape[0]))
+            _bracket_slope(config, p[rows, None], predictions[:, rows].T, out=free)
+            # The root in place on each run of steps where k != 0: no 1/k at k = 0.
+            live = np.concatenate(([False], k[rows] != 0.0, [False]))
+            for start, stop in np.flatnonzero(np.diff(live)).reshape(-1, 2):
+                run = slice(start, stop)
+                _interior_root(config, free[run], k[rows][run, None], out=free[run])
+        return _cap_clamp(config, n, x, held[1][n - held[0].start], k[n])
 
     return rule
 
@@ -346,12 +338,14 @@ def control_rule(
 class InvestResult:
     """One full experiment: paths, controls, first-order checks, outputs.
 
-    ``controls`` and ``bracket`` are step-major (Fortran-order) arrays, as
-    ``state.values`` is; ``state.controls`` is a view of the first
-    ``horizon`` columns of ``controls``, not a second copy.
-    ``state.noise.eta`` is None: the run drops the innovations once the
-    noise is made, and a regression solve along ``state`` redraws them from
-    ``state.noise.seed``, bit for bit.
+    ``controls`` is the simulator's step-major (Fortran-order) buffer, as
+    ``state.values`` is; ``state.controls`` is a view of its first
+    ``horizon`` columns.  The run certifies the bracket block by block and
+    keeps none: bracket_values(..., controls=controls, truncation=horizon,
+    predictions=prediction_matrix(system, state.noise.xi, horizon)) on the
+    run's fields rebuilds it, bit for bit.  ``state.noise.eta`` is None: the
+    run drops the innovations once the noise is made, and a regression solve
+    along ``state`` redraws them from ``state.noise.seed``, bit for bit.
     """
 
     config: InvestConfig
@@ -359,35 +353,38 @@ class InvestResult:
     adjoint: InvestAdjoint
     state: StatePath
     controls: np.ndarray  # (n_paths, horizon + 1), terminal step included
-    bracket: np.ndarray  # (n_paths, horizon + 1)
     check: dict
     clamp_stats: dict
     out_dir: Optional[Path] = None
 
 
-def _clamp_stats(controls: np.ndarray, caps: np.ndarray) -> dict:
-    """Fractions of (path, step) entries at each clamp, plus the invariant.
+class _Clamps:
+    """Fractions of (path, step) entries at each clamp, plus the invariant,
+    fed one block of controls and caps at a time.
 
     The rule writes the clamps by np.minimum/np.maximum, so equality tests
-    are exact: v == 0 at the floor, v == cap at the ceiling.  Both grids are
-    step-major, and they are walked in blocks of steps.
+    are exact: v == 0 at the floor, v == cap at the ceiling.  Counts and
+    maxima are exact, so the blocks may be of any size.
     """
-    floor = cap = 0
+
+    floor = cap = total = 0
     over = under = 0.0
-    for cols in _step_blocks(*controls.shape):
-        v, c = controls[:, cols], caps[:, cols]
+
+    def add(self, v, c) -> None:
         at_floor = v == 0.0
-        floor += np.count_nonzero(at_floor)
-        cap += np.count_nonzero((v == c) & ~at_floor)
-        over = np.max(v - c, initial=over)
-        under = np.max(-v, initial=under)
-    total = controls.size
-    return {
-        "floor_fraction": floor / total,
-        "cap_fraction": cap / total,
-        "interior_fraction": (total - floor - cap) / total,
-        "max_bound_violation": max(float(over), float(under)),
-    }
+        self.floor += np.count_nonzero(at_floor)
+        self.cap += np.count_nonzero((v == c) & ~at_floor)
+        self.over = np.max(v - c, initial=self.over)
+        self.under = np.max(-v, initial=self.under)
+        self.total += v.size
+
+    def stats(self) -> dict:
+        return {
+            "floor_fraction": self.floor / self.total,
+            "cap_fraction": self.cap / self.total,
+            "interior_fraction": (self.total - self.floor - self.cap) / self.total,
+            "max_bound_violation": max(float(self.over), float(self.under)),
+        }
 
 
 def write_wealth_csv(result: InvestResult, path) -> None:
@@ -484,36 +481,32 @@ def run_experiment(
     pred = prediction_matrix(sys, noise.xi, config.horizon)
     rule = control_rule(config, sys, adjoint, pred)
     coeffs = coefficient_set(config)
-    state = simulate_state(coeffs, ControlProcess(rule=rule), noise, config.x0)
-
-    terminal_v = rule(config.horizon, state.values[:, -1], noise.xi)
-    # The rule's step-major grid is as large as the predictions and serves no
-    # later step: free it before the bracket allocates its blocks.
+    # The simulator's buffer holds the terminal control; state.controls is a view of it.
+    state = simulate_state(coeffs, ControlProcess(rule=rule), noise, config.x0, terminal=True)
     del rule
-    controls = np.hstack([state.controls, np.asarray(terminal_v)[:, None]])
-    # One controls array: the simulator's buffer is freed before the bracket.
+    controls = state.controls
     state = replace(state, controls=controls[:, :-1])
 
-    bracket = bracket_values(
-        coeffs,
-        cost_driver(config),
-        state,
-        adjoint.solution,
-        adjoint.k,
-        sys,
-        controls=controls,
-        truncation=config.horizon,
-        predictions=pred,
+    # One pass over blocks of steps: each block of the bracket and of the
+    # caps feeds the certificate and the clamp counts, and is then dropped.
+    blocks, bracket_block = _bracket_blocks(
+        coeffs, cost_driver(config), state, adjoint.solution, adjoint.k, sys,
+        controls, None, config.horizon, pred,
     )
-    # Free the predictions before the caps, the last full grid, are made.
-    del pred
-    chi = consumption_indicator(config, config.horizon)
-    caps = state.values * (1 - config.c * chi)
-    np.maximum(caps, 0.0, out=caps)
-    check = check_necessary_condition(
-        bracket, controls, 0.0, caps, n_trials=n_trials, seed=config.seed, tolerance=tolerance
-    )
-    stats = _clamp_stats(controls, caps)
+    certificate = _Certificate(controls.shape, n_trials, config.seed, tolerance)
+    clamps = _Clamps()
+    factor = 1 - config.c * consumption_indicator(config, config.horizon)
+    # The witness draws over whole grids: only then are the bracket and caps kept.
+    whole = [np.empty(controls.shape[::-1]).T for _ in range(2)] if n_trials > 0 else None
+    for cols in blocks:
+        bracket = bracket_block(cols)
+        caps = np.maximum(state.values[:, cols] * factor[cols], 0.0)
+        certificate.add(cols, bracket, controls[:, cols], 0.0, caps)
+        clamps.add(controls[:, cols], caps)
+        if whole is not None:
+            whole[0][:, cols], whole[1][:, cols] = bracket, caps
+    witness = None if whole is None else _witness(whole[0], controls, 0.0, whole[1], n_trials, config.seed)
+    del pred, bracket_block, whole  # the CSV writer below needs no more than the result
 
     result = InvestResult(
         config=config,
@@ -521,9 +514,8 @@ def run_experiment(
         adjoint=adjoint,
         state=state,
         controls=controls,
-        bracket=bracket,
-        check=check,
-        clamp_stats=stats,
+        check=certificate.report(witness),
+        clamp_stats=clamps.stats(),
         out_dir=None if out_dir is None else Path(out_dir),
     )
     if out_dir is not None:
@@ -538,9 +530,9 @@ def _write_outputs(result: InvestResult) -> None:
     write_adjoint_csv(result.adjoint, out / "adjoint.csv")
 
     resolved = asdict(result.config)
-    resolved["consumption_times_resolved"] = [
-        n for n in range(result.config.horizon + 1) if result.config.chi(n)
-    ]
+    resolved["consumption_times_resolved"] = np.flatnonzero(
+        consumption_indicator(result.config, result.config.horizon)
+    ).tolist()
     resolved["adjoint_truncation"] = result.adjoint.truncation
     resolved["check_passed"] = result.check["passed"]
     resolved["clamp_stats"] = result.clamp_stats

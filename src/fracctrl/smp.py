@@ -207,6 +207,16 @@ def bracket_values(
     transpose of a step-major (n_cols, n_paths) buffer, like the state and
     the predictions: a window of steps is Fortran-contiguous.
     """
+    blocks, block = _bracket_blocks(coeffs, cost, state, adjoint, k, sys, controls, cost_solution, truncation, predictions)
+    out = np.empty((blocks[-1].stop, state.n_paths)).T
+    for cols in blocks:
+        out[:, cols] = block(cols)
+    return out
+
+
+def _bracket_blocks(coeffs, cost, state, adjoint, k, sys, controls, cost_solution, truncation, predictions):
+    """bracket_values' checks, then its blocks of steps and the function that
+    makes the bracket on one of them."""
     n_trunc = adjoint.truncation if truncation is None else truncation
     require("truncation", n_trunc, int)
     if n_trunc < 0:
@@ -232,21 +242,22 @@ def bracket_values(
         pred = floats("predictions", predictions, 2, paths=n_paths, steps=n_cols)
     steps = np.arange(n_cols)
     beta_diag = np.diag(sys.beta)[:n_cols]
-    out = np.empty((n_cols, n_paths)).T
     blocks = _step_blocks(n_paths, n_cols)
     zeros = np.zeros((n_paths, blocks[0].stop), order="F")
-    for cols in blocks:
+
+    def block(cols: slice) -> np.ndarray:
         if cost_solution is None:
             y = z = zeros[:, : cols.stop - cols.start]
         else:
             y, z = (_grid_block(t, cols) for t in (cost_solution.y, cost_solution.z))
-        out[:, cols] = necessary_bracket(
+        return necessary_bracket(
             coeffs, cost, steps[cols], state.values[:, cols], y, z,
             _grid_block(controls, cols, fill=np.nan),
             _grid_block(adjoint.y, cols), _grid_block(adjoint.z, cols),
             _grid_block(k, cols), pred[:, cols], beta_diag[cols],
         )
-    return out
+
+    return blocks, block
 
 
 def _step_blocks(n_paths: int, n_cols: int) -> list:
@@ -310,73 +321,84 @@ def check_necessary_condition(
     except ValueError:
         shapes = ", ".join(f"{n} {a.shape}" for n, a in zip(names, arrays))
         raise ContractError(f"the certificate's inputs do not broadcast together: {shapes}") from None
-    require("n_trials", n_trials, int)
-    if n_trials < 0:
-        raise ContractError(f"n_trials must be >= 0, got {n_trials}")
-    require("seed", seed, int)
-    if seed < 0:
-        raise ContractError(f"seed must be >= 0, got {seed}")
-    require("tolerance", tolerance, float)
-    if tolerance < 0:
-        raise ContractError(f"tolerance must be >= 0, got {tolerance}")
-    shape = b.shape
+    certificate = _Certificate(b.shape, n_trials, seed, tolerance)
     if b.size == 0:
-        raise ContractError(f"the bracket grid is empty, shape {shape}")
+        raise ContractError(f"the bracket grid is empty, shape {b.shape}")
     # (rows, steps) views in C order: entry (i, j) has flat index i * n_cols + j.
-    n_cols = shape[-1] if shape else 1
-    grid = [a.reshape(-1, n_cols) for a in (b, us, lo, hi)]
-    n_bad, first_bad, minima = 0, np.empty(0, dtype=np.intp), []
-    for cols in _step_blocks(b.size // n_cols, n_cols):
-        bb, uu, ll, hh = (a[:, cols] for a in grid)
+    grid = [a.reshape(-1, certificate.n_cols) for a in (b, us, lo, hi)]
+    for cols in _step_blocks(b.size // certificate.n_cols, certificate.n_cols):
+        certificate.add(cols, *(a[:, cols] for a in grid))
+    return certificate.report(_witness(b, us, lo, hi, n_trials, seed) if n_trials > 0 else None)
+
+
+class _Certificate:
+    """check_necessary_condition's report, fed one block of steps at a time:
+    the violation count, the first ten violations in C order and each
+    block's first minimum."""
+
+    def __init__(self, shape: tuple, n_trials: int, seed: int, tolerance: float):
+        for name, value, kind in (("n_trials", n_trials, int), ("seed", seed, int), ("tolerance", tolerance, float)):
+            require(name, value, kind)
+            if value < 0:
+                raise ContractError(f"{name} must be >= 0, got {value}")
+        self.shape, self.n_cols = shape, shape[-1] if shape else 1
+        self.n_trials, self.tolerance = n_trials, tolerance
+        self.n_bad, self.first_bad, self.minima = 0, [], []
+
+    def add(self, cols: slice, bb, uu, ll, hh) -> None:
+        """Take in steps ``cols`` of the bracket, u* and the box's bounds."""
         if np.any(hh < ll):
             raise ContractError("upper bound below lower bound somewhere in the admissible box")
-        worst = np.where(bb > 0, ll, hh)
-        worst -= uu
+        corner = np.where(bb > 0, ll, hh)
+        worst = corner - uu
         worst *= bb
-        rows, steps = np.nonzero(~(worst >= -tolerance))  # in C order
-        n_bad += rows.size
-        flat = np.concatenate((first_bad, rows[:10] * n_cols + steps[:10] + cols.start))
-        first_bad = np.sort(flat)[:10]
+        rows, steps = np.nonzero(~(worst >= -self.tolerance))  # in C order
+        self.n_bad += rows.size
+        for r, s in zip(rows[:10], steps[:10]):
+            flat = int(r) * self.n_cols + int(s) + cols.start
+            record = {"value": float(worst[r, s]), "u": float(corner[r, s])}
+            idx = np.unravel_index(flat, self.shape)
+            if len(idx) == 2:
+                record["path"], record["step"] = int(idx[0]), int(idx[1])
+            else:
+                record["index"] = [int(i) for i in idx]
+            self.first_bad.append((flat, record))
+        self.first_bad = sorted(self.first_bad, key=lambda entry: entry[0])[:10]
         row, col = divmod(int(np.argmin(worst)), worst.shape[1])
-        minima.append((worst[row, col], row * n_cols + cols.start + col))
-    # Each block's first minimum in C order; of those, argmin takes a NaN
-    # before any number, then the least value, then the earliest entry.
-    values, flats = (np.array(column) for column in zip(*minima))
-    least = values.min()
-    first_min = flats[np.isnan(values) if np.isnan(least) else values == least].min()
-    violations = []
-    for flat in first_bad:
-        idx = np.unravel_index(flat, shape)
-        corner = lo[idx] if b[idx] > 0 else hi[idx]
-        record = {"value": float((corner - us[idx]) * b[idx]), "u": float(corner)}
-        if len(idx) == 2:
-            record["path"], record["step"] = int(idx[0]), int(idx[1])
-        else:
-            record["index"] = [int(i) for i in idx]
-        violations.append(record)
-    min_trial = None
-    if n_trials > 0:
-        span = hi - lo
-        min_trial = np.inf
-        for child in np.random.SeedSequence(seed).spawn(n_trials):
-            u = np.random.default_rng(child).uniform(size=shape)
-            u *= span
-            u += lo
-            np.minimum(u, hi, out=u)  # rounding must not step outside the box
-            u -= us
-            u *= b
-            min_trial = np.minimum(min_trial, u.min())
-        min_trial = float(min_trial)
-    return {
-        "trials": n_trials,
-        "tolerance": tolerance,
-        "min_bracket_product": float(least) + 0.0,
-        "min_index": [int(i) for i in np.unravel_index(first_min, shape)],
-        "min_trial_product": min_trial,
-        "n_violations": n_bad,
-        "violations": violations,
-        "passed": n_bad == 0,
-    }
+        self.minima.append((worst[row, col], row * self.n_cols + cols.start + col))
+
+    def report(self, min_trial) -> dict:
+        # Each block's first minimum in C order; of those, argmin takes a NaN
+        # before any number, then the least value, then the earliest entry.
+        values, flats = (np.array(column) for column in zip(*self.minima))
+        least = values.min()
+        first_min = flats[np.isnan(values) if np.isnan(least) else values == least].min()
+        return {
+            "trials": self.n_trials,
+            "tolerance": self.tolerance,
+            "min_bracket_product": float(least) + 0.0,
+            "min_index": [int(i) for i in np.unravel_index(first_min, self.shape)],
+            "min_trial_product": min_trial,
+            "n_violations": self.n_bad,
+            "violations": [record for _, record in self.first_bad],
+            "passed": self.n_bad == 0,
+        }
+
+
+def _witness(b, us, lo, hi, n_trials: int, seed: int) -> float:
+    """The least product over n_trials uniform draws from the box, one
+    generator spawned from ``seed`` per draw."""
+    span = hi - lo
+    min_trial = np.inf
+    for child in np.random.SeedSequence(seed).spawn(n_trials):
+        u = np.random.default_rng(child).uniform(size=b.shape)
+        u *= span
+        u += lo
+        np.minimum(u, hi, out=u)  # rounding must not step outside the box
+        u -= us
+        u *= b
+        min_trial = np.minimum(min_trial, u.min())
+    return float(min_trial)
 
 
 def solve_variational(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracctrl import _csv, cli
+from fracctrl import _csv, cli, invest
 from fracctrl.cli import main
 
 
@@ -335,22 +335,25 @@ def _exit_code(argv) -> int:
 @pytest.fixture
 def no_large_arrays(monkeypatch):
     """Fail, before anything is allocated, a command that goes on to build
-    arrays for more than 10**6 steps or paths."""
+    arrays for more than 10**6 steps or paths.  The adjoint tables are
+    guarded where both callers read them: ``bsde-converge`` through ``cli``,
+    ``invest`` and ``smp-check`` through ``run_experiment``'s ``invest``."""
 
-    def guarded(name, sizes):
-        build = getattr(cli, name)
+    def guarded(module, name, sizes):
+        build = getattr(module, name)
 
         def checked(*args, **kwargs):
             if max(sizes(*args, **kwargs)) > 10**6:
-                pytest.fail(f"{name} was reached with sizes {sizes(*args, **kwargs)}")
+                pytest.fail(f"{module.__name__}.{name} was reached with sizes {sizes(*args, **kwargs)}")
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, checked)
+        monkeypatch.setattr(module, name, checked)
 
-    guarded("build_innovation_system", lambda hurst, horizon: [horizon])
-    guarded("run_experiment", lambda config, **kwargs: [config.horizon, config.paths])
-    guarded("adjoint_tables", lambda config, truncation: [truncation])
-    guarded("cauchy_diagnostic", lambda driver, state, sys, n_list, params: n_list)
+    guarded(cli, "build_innovation_system", lambda hurst, horizon: [horizon])
+    guarded(cli, "run_experiment", lambda config, **kwargs: [config.horizon, config.paths])
+    guarded(cli, "adjoint_tables", lambda config, truncation: [truncation])
+    guarded(invest, "adjoint_tables", lambda config, truncation: [truncation])
+    guarded(cli, "cauchy_diagnostic", lambda driver, state, sys, n_list, params: n_list)
 
 
 class TestFuzzedFlags:

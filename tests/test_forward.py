@@ -209,6 +209,23 @@ class TestSimulateState:
         b = fw.simulate_state(coeffs, u, noise16, 1.0)
         assert a.values.tobytes() == b.values.tobytes()
 
+    def test_terminal_control_joins_the_controls_buffer(self, noise16):
+        seen = []
+
+        def rule(n, x, xi_hist):
+            seen.append((n, xi_hist.shape))
+            return 0.1 * x + 0.01 * n
+
+        coeffs = wealth_coeffs()
+        plain = fw.simulate_state(coeffs, fw.ControlProcess(rule=rule), noise16, 1.0)
+        seen.clear()
+        state = fw.simulate_state(coeffs, fw.ControlProcess(rule=rule), noise16, 1.0, terminal=True)
+        assert seen[-1] == (16, (64, 16)), "the terminal control sees the whole noise"
+        assert state.controls.shape == (64, 17) and state.controls.flags.f_contiguous
+        assert np.array_equal(state.values, plain.values)
+        assert np.array_equal(state.controls[:, :-1], plain.controls)
+        assert np.array_equal(state.controls[:, -1], rule(16, state.values[:, -1], noise16.xi))
+
     def test_blowup_names_path_and_step(self):
         sys = fn.build_innovation_system(0.5, 8)
         noise = fn.sample_ensemble(sys, seed=1, n_paths=4)

@@ -23,7 +23,7 @@ from fracctrl.fracnoise import (
 )
 from fracctrl.invest import (
     InvestConfig,
-    _clamp_stats,
+    _Clamps,
     adjoint_tables,
     closed_form_control,
     coefficient_set,
@@ -140,6 +140,25 @@ class TestConfig:
             InvestConfig(**kwargs)
         except ContractError:
             pass
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"consumption_period": 1},
+            {"consumption_period": 7},
+            {"consumption_period": 40},  # longer than n_max
+            {"consumption_period": 10**30},
+            {"consumption_times": (1, 5, 30)},
+            {"consumption_times": (3, 31, 10**6, 10**30)},  # dates past n_max
+            {"consumption_times": (31,)},
+        ],
+    )
+    def test_indicator_is_chi_at_every_step(self, kwargs):
+        cfg = InvestConfig(**kwargs)
+        for n_max in (0, 1, 30):
+            chi = consumption_indicator(cfg, n_max)
+            assert chi.dtype == np.float64
+            assert chi.tolist() == [cfg.chi(n) for n in range(n_max + 1)]
 
     def test_explicit_indicator_ignores_period(self):
         cfg = InvestConfig(consumption_times=(3, 7), consumption_period=2)
@@ -325,7 +344,7 @@ class TestRunExperiment:
         cfg = small_config()
         result = run_experiment(cfg, n_trials=5)
         assert result.controls.shape == (cfg.paths, cfg.horizon + 1)
-        assert result.bracket.shape == (cfg.paths, cfg.horizon + 1)
+        assert run_bracket(result).shape == (cfg.paths, cfg.horizon + 1)
         assert result.clamp_stats["max_bound_violation"] == 0.0
         fractions = [
             result.clamp_stats["floor_fraction"],
@@ -454,8 +473,9 @@ class TestDroppedInnovations:
             assert got.diagnostics == want.diagnostics
 
     def test_the_run_holds_at_most_five_grids(self):
-        # At its peak a run holds the noise, the predictions, the rule's
-        # x-free grid (or the bracket), the wealth and the controls.
+        # At its peak a run holds four grids: the noise, the predictions, the
+        # wealth and the controls.  The rule's x-free part, the bracket and
+        # the caps are made one block of steps at a time.
         config = InvestConfig(paths=20000, horizon=50)
         grid = config.paths * (config.horizon + 1) * 8
         tracing = tracemalloc.is_tracing()
@@ -468,7 +488,7 @@ class TestDroppedInnovations:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak <= 5.5 * grid, f"peak {peak} bytes is {peak / grid:.2f} grids of {grid} bytes"
+        assert peak <= 4.5 * grid, f"peak {peak} bytes is {peak / grid:.2f} grids of {grid} bytes"
 
 
 def per_step_prediction_run(config):
@@ -487,7 +507,19 @@ def per_step_prediction_run(config):
     )
     chi = consumption_indicator(config, config.horizon)
     caps = np.maximum(state.values * (1 - config.c * chi), 0.0)
-    return check_necessary_condition(bracket, controls, 0.0, caps), _clamp_stats(controls, caps)
+    clamps = _Clamps()
+    clamps.add(controls, caps)  # the whole grid as one block
+    return check_necessary_condition(bracket, controls, 0.0, caps), clamps.stats()
+
+
+def run_bracket(result):
+    """The bracket of a run, rebuilt as the InvestResult docstring says."""
+    cfg = result.config
+    return bracket_values(
+        coefficient_set(cfg), cost_driver(cfg), result.state, result.adjoint.solution,
+        result.adjoint.k, result.system, controls=result.controls, truncation=cfg.horizon,
+        predictions=prediction_matrix(result.system, result.state.noise.xi, cfg.horizon),
+    )
 
 
 class TestSharedPredictions:
@@ -525,7 +557,8 @@ class TestSharedPredictions:
             result.adjoint.k, result.system, controls=result.controls, truncation=cfg.horizon,
             predictions=pred,
         )
-        assert np.array_equal(bracket, result.bracket)
+        caps = np.maximum(result.state.values * (1 - cfg.c * consumption_indicator(cfg, cfg.horizon)), 0.0)
+        assert result.check == check_necessary_condition(bracket, result.controls, 0.0, caps)
 
     def test_bracket_rejects_predictions_of_the_wrong_shape(self):
         cfg = small_config()
@@ -536,42 +569,50 @@ class TestSharedPredictions:
             bracket_values(*args, controls=result.controls, truncation=cfg.horizon,
                            predictions=np.zeros((cfg.paths, cfg.horizon)))
 
-    def test_predictions_are_freed_before_the_certificate(self, monkeypatch):
-        # Kept alive into the certificate, the (paths, horizon + 1) matrix
-        # raised the peak memory of a 5e4 x 50 run by 7.7%.  The rule's
-        # step-major grid of the same size goes even earlier, before the
-        # bracket adds its block temporaries.
+    def test_the_rule_holds_one_block_and_the_run_keeps_no_predictions(self, monkeypatch):
+        # Made over the whole grid at once, the rule's x-free part was as
+        # large as the predictions and raised a run's peak by a grid.  It is
+        # made one block of steps at a time, here 3 steps over all paths.
         cfg = small_config()
-        grid = sorted((cfg.paths, cfg.horizon + 1))
-        made, held = [], []
+        monkeypatch.setattr("fracctrl.smp._BLOCK_ENTRIES", 3 * cfg.paths)
+        made, sizes = [], []
 
         def recording_prediction_matrix(*args):
             out = prediction_matrix(*args)
             made.append(weakref.ref(out))
             return out
 
-        def recording_control_rule(*args, **kwargs):
-            rule = control_rule(*args, **kwargs)
-            for cell in rule.__closure__:
-                value = cell.cell_contents
-                if isinstance(value, np.ndarray) and sorted(value.shape) == grid:
-                    held.append(weakref.ref(value))
-            return rule
+        def recording_control_rule(config, sys, adjoint, predictions=None):
+            rule = control_rule(config, sys, adjoint, predictions)
 
-        def checking_bracket(*args, **kwargs):
-            assert held, "the rule holds no grid; the check sees nothing"
-            assert all(ref() is None for ref in held), "the rule's grid outlived the simulation"
-            return bracket_values(*args, **kwargs)
+            def recorded(*args):
+                out = rule(*args)
+                for cell in rule.__closure__:
+                    held = cell.cell_contents if isinstance(cell.cell_contents, list) else [cell.cell_contents]
+                    sizes.extend(
+                        a.size for a in held if isinstance(a, np.ndarray) and a.ndim == 2 and a is not predictions
+                    )
+                return out
 
-        def checking_certificate(*args, **kwargs):
-            assert made and made[0]() is None, "the prediction matrix outlived the bracket"
-            return check_necessary_condition(*args, **kwargs)
+            return recorded
 
         monkeypatch.setattr(invest_module, "prediction_matrix", recording_prediction_matrix)
         monkeypatch.setattr(invest_module, "control_rule", recording_control_rule)
-        monkeypatch.setattr(invest_module, "bracket_values", checking_bracket)
-        monkeypatch.setattr(invest_module, "check_necessary_condition", checking_certificate)
         assert run_experiment(cfg).check["passed"]
+        assert sizes and max(sizes) == 3 * cfg.paths, f"the rule held arrays of {sorted(set(sizes))} entries"
+        assert made and made[0]() is None, "the run kept the prediction matrix"
+
+    def test_run_certificate_with_witness_is_the_whole_grid_check(self):
+        # The run's block pass against the public certificate on whole grids,
+        # at tolerance 0 (rounding-level violations included) with a witness.
+        cfg = InvestConfig(paths=20000, horizon=50, seed=7919)
+        result = run_experiment(cfg, n_trials=7, tolerance=0.0)
+        caps = np.maximum(result.state.values * (1 - cfg.c * consumption_indicator(cfg, cfg.horizon)), 0.0)
+        want = check_necessary_condition(
+            run_bracket(result), result.controls, 0.0, caps, n_trials=7, seed=cfg.seed, tolerance=0.0
+        )
+        assert want["n_violations"] > 0 and want["min_trial_product"] is not None
+        assert result.check == want
 
     @pytest.mark.parametrize("beta_exp", [1.5, 2.0, 2.5, 3.0])
     def test_grid_rule_equals_the_closed_form_per_step(self, beta_exp):
@@ -595,14 +636,16 @@ class TestSharedPredictions:
         k[5] = 0.0
         adjoint = invest_module.InvestAdjoint(k=k, solution=solved.solution)
         pred = prediction_matrix(sys, xi, cfg.horizon)
-        with np.errstate(all="raise"):  # no 1/k is formed at k = 0
-            rule = control_rule(cfg, sys, adjoint, pred)
+        rule = control_rule(cfg, sys, adjoint, pred)
         x = np.ones(cfg.paths)
-        for n in (0, 4, 6):
-            want = closed_form_control(cfg, n, x, adjoint.p[n], k[n], pred[:, n])
-            assert np.array_equal(rule(n, x, xi[:, :n]), want)
-        with pytest.raises(ContractError, match="k vanishes at step 5"):
-            rule(5, x, xi[:, :5])
+        # The rule makes its block of steps 0..12 at its first call: no 1/k
+        # is formed at k = 0.
+        with np.errstate(all="raise"):
+            for n in (0, 4, 6):
+                want = closed_form_control(cfg, n, x, adjoint.p[n], k[n], pred[:, n])
+                assert np.array_equal(rule(n, x, xi[:, :n]), want)
+            with pytest.raises(ContractError, match="k vanishes at step 5"):
+                rule(5, x, xi[:, :5])
 
     @pytest.mark.parametrize(
         "config",
@@ -677,7 +720,7 @@ class TestNoiseLayout:
         assert np.array_equal(got.state.noise.xi, want.state.noise.xi)
         assert np.array_equal(got.state.values, want.state.values)
         assert np.array_equal(got.controls, want.controls)
-        assert np.array_equal(got.bracket, want.bracket)
+        assert np.array_equal(run_bracket(got), run_bracket(want))
         assert got.check == want.check
         assert got.clamp_stats == want.clamp_stats
 

@@ -601,7 +601,9 @@ class TestWholeGridBracket:
         args = (coefficient_set(cfg), cost_driver(cfg), result.state, result.adjoint.solution,
                 result.adjoint.k, result.system)
         got = self.check(*args, controls=result.controls, truncation=cfg.horizon)
-        assert np.array_equal(got, result.bracket)
+        pred = prediction_matrix(result.system, result.state.noise.xi, cfg.horizon)
+        shared = bracket_values(*args, controls=result.controls, truncation=cfg.horizon, predictions=pred)
+        assert np.array_equal(got, shared)
 
     def test_short_k_refused(self):
         sys, _, state, _ = self.setup()
@@ -846,8 +848,13 @@ class TestNecessaryCheck:
         result = run_experiment(cfg, tolerance=0.0)
         chi = consumption_indicator(cfg, cfg.horizon)
         caps = np.maximum(result.state.values * (1 - cfg.c * chi), 0.0)
+        bracket = bracket_values(
+            coefficient_set(cfg), cost_driver(cfg), result.state, result.adjoint.solution,
+            result.adjoint.k, result.system, controls=result.controls, truncation=cfg.horizon,
+            predictions=prediction_matrix(result.system, result.state.noise.xi, cfg.horizon),
+        )
         want = whole_grid_report(
-            np.ascontiguousarray(result.bracket), np.ascontiguousarray(result.controls), 0.0, caps, 0.0
+            np.ascontiguousarray(bracket), np.ascontiguousarray(result.controls), 0.0, caps, 0.0
         )
         assert want["n_violations"] > 10 and len({v["path"] for v in want["violations"]}) > 1
         assert_same_report(result.check, want)
