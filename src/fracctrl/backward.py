@@ -73,12 +73,11 @@ class DriverSpec:
     multiplies the predicted next increment.  The terminal step evaluates
     both at z = 0.
     Along a state ensemble x, y, z and u are per-path arrays; a solve with
-    no state calls f with Python floats (x = z = 0, u NaN past the
-    controls) and needs a float back.  The optional control partial f_u
-    follows the signature of f.  The bracket calls it once per block of
-    paths over all steps: n is then the array of step indices 0..N and x,
-    y, z, u are (paths, N + 1) arrays, so f_u must broadcast in n as well
-    (or ignore it).
+    no state calls f with Python floats (x = z = 0, u NaN) and needs a
+    float back.  The optional control partial f_u follows the signature of
+    f.  The bracket calls it once per block of paths over all steps: n is
+    then the array of step indices 0..N and x, y, z, u are (paths, N + 1)
+    arrays, so f_u must broadcast in n as well (or ignore it).
     """
 
     f: Callable
@@ -93,14 +92,13 @@ class BsdeSolution:
     ``y`` has shape (paths, N + 1) with N >= 0 and ``z`` shape (paths, N);
     other shapes raise ContractError.  ``diagnostics`` holds the regression
     fits' health (``fit_min_singular``, ``fit_max_cond``, ``fit_fallbacks``);
-    it is empty for an exact solve.
+    it is empty exactly when the solve was exact.
     """
 
     y: np.ndarray
     z: np.ndarray
     lam: float
     gamma_exp: float
-    backend: str
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -311,12 +309,12 @@ def conditional_expectation(
     return fitted
 
 
-def _control_at(control_values: Optional[np.ndarray], n: int, n_paths: int) -> np.ndarray:
+def _control_at(controls: np.ndarray, n: int, n_paths: int) -> np.ndarray:
     # NaN poisons drivers that genuinely need an out-of-range control value;
     # the non-finite check below then points at the offending step.
-    if control_values is None or n >= control_values.shape[-1]:
+    if n >= controls.shape[-1]:
         return np.full(n_paths, np.nan)
-    return np.broadcast_to(control_values[..., n], (n_paths,))
+    return np.broadcast_to(controls[..., n], (n_paths,))
 
 
 _NON_FINITE = (
@@ -325,21 +323,16 @@ _NON_FINITE = (
 )
 
 
-def _one_path(driver: DriverSpec, ratios: list, control_values) -> list:
+def _one_path(driver: DriverSpec, ratios: list) -> list:
     """Y_0, ..., Y_N of a deterministic exact solve as a recursion over floats:
-    the driver sees x = z = 0 and u NaN past the controls, and a target t is
-    its own expectation, the exact backend's midpoint 0.5 (t + t), which
-    overflows where 2 |t| does."""
+    the driver sees x = z = 0 and u = NaN, and a target t is its own
+    expectation, the exact backend's midpoint 0.5 (t + t), which overflows
+    where 2 |t| does."""
     n_trunc = len(ratios)
-    u = np.full(n_trunc + 1, np.nan)
-    if control_values is not None:
-        known = min(control_values.shape[-1], n_trunc + 1)
-        u[:known] = control_values[..., :known]
-    u = u.tolist()
     y = [0.0] * (n_trunc + 1)
     for n in range(n_trunc - 1, -1, -1):
         m = n + 1
-        target = ratios[n] * (y[m] + driver.f(m, 0.0, y[m], 0.0, u[m]))
+        target = ratios[n] * (y[m] + driver.f(m, 0.0, y[m], 0.0, math.nan))
         if not math.isfinite(target):
             raise NumericalError(_NON_FINITE.format(n))
         y[n] = 0.5 * (target + target)
@@ -354,7 +347,6 @@ def solve_truncated(
     lam: float,
     gamma_exp: float,
     backend: str = "regression",
-    control_values=None,
     window: int = 3,
     degree: int = 2,
 ) -> BsdeSolution:
@@ -364,11 +356,12 @@ def solve_truncated(
     without a g-term: Y is then one path, solved as a recursion over Python
     floats with no conditional_expectation call, and Z is zero.  ``sys`` is
     required whenever the driver has a g-term, and must extend one row past
-    the truncation so the prediction at prefix length N exists.
-    ``control_values`` defaults to the controls realized in ``state``.
-    The regression backend reads the state's innovations; where its noise
-    holds ``eta = None`` (run_experiment's ensemble) they are redrawn from
-    the noise's seed, the same draws sample_ensemble made, bit for bit.
+    the truncation so the prediction at prefix length N exists.  The driver
+    reads u off ``state.controls``, the terminal column included where the
+    state has one, and NaN past its last column.  The regression backend
+    reads the state's innovations; where its noise holds ``eta = None``
+    (run_experiment's ensemble) they are redrawn from the noise's seed, the
+    same draws sample_ensemble made, bit for bit.
     """
     require("truncation", truncation, int)
     require("lam", lam, float)
@@ -396,11 +389,6 @@ def solve_truncated(
         n_paths = state.n_paths
         x_all = state.values
         xi = state.noise.xi
-    if control_values is not None:
-        paths = 1 if state is None else state.n_paths
-        control_values = floats("control_values", control_values, (1, 2), paths=paths)
-    elif state is not None:
-        control_values = state.controls
 
     predictions = None
     if driver.g is not None:
@@ -416,11 +404,8 @@ def solve_truncated(
         predictions = prediction_matrix(sys, xi, n_trunc)
 
     if state is None:
-        y = _one_path(driver, ratios.tolist(), control_values)
-        return BsdeSolution(
-            y=np.array([y]), z=np.zeros((1, n_trunc)), lam=lam, gamma_exp=gamma_exp,
-            backend=backend,
-        )
+        y = _one_path(driver, ratios.tolist())
+        return BsdeSolution(y=np.array([y]), z=np.zeros((1, n_trunc)), lam=lam, gamma_exp=gamma_exp)
 
     # Step-major buffers: each step reads and writes one contiguous row.  Row
     # N of z stays zero: the terminal step evaluates f and g at z = 0.
@@ -437,7 +422,7 @@ def solve_truncated(
     for n in range(n_trunc - 1, -1, -1):
         m = n + 1
         x_m = x_all[:, m]
-        u_m = _control_at(control_values, m, n_paths)
+        u_m = _control_at(state.controls, m, n_paths)
         y_m, z_m = y[m], z[m]
         f_val = driver.f(m, x_m, y_m, z_m, u_m)
         g_val = None if driver.g is None else driver.g(m, x_m, y_m, z_m, u_m)
@@ -473,7 +458,7 @@ def solve_truncated(
         fit_min_singular=singular_min, fit_max_cond=cond_max, fit_fallbacks=fallbacks
     )
     return BsdeSolution(
-        y=y.T, z=z[:n_trunc].T, lam=lam, gamma_exp=gamma_exp, backend=backend, diagnostics=diagnostics
+        y=y.T, z=z[:n_trunc].T, lam=lam, gamma_exp=gamma_exp, diagnostics=diagnostics
     )
 
 

@@ -44,15 +44,16 @@ def floats(name: str, value, ndim=None, *, paths=None, steps=None, finite=True) 
     """``value`` as a float64 array; a float64 array comes back itself, not
     a copy.  Every public array argument of the package is read through here.
 
-    ContractError naming ``name`` for: a string, None, a bool, an object,
-    complex or ragged input; a number of dimensions not in ``ndim`` (an int
-    or a tuple of them, any when None); with ``paths``, an array of the most
-    dimensions allowed whose first axis, one row per path, holds neither
-    ``paths`` rows nor one row shared by every path; with ``steps``, an
-    array whose last axis holds fewer than ``steps`` steps; and unless
-    ``finite`` is False, a NaN or an infinity.  Where ``ndim`` allows at
-    most one dimension and ``steps`` is None, a 1-D array runs over paths;
-    otherwise its one axis runs over steps.
+    ContractError naming ``name`` for: a string, None, a bool (also inside
+    a list or tuple, at any depth), an object, complex or ragged input; a
+    number of dimensions not in ``ndim`` (an int or a tuple of them, any
+    when None); with ``paths``, an array of the most dimensions allowed
+    whose first axis, one row per path, holds neither ``paths`` rows nor one
+    row shared by every path; with ``steps``, an array whose last axis holds
+    fewer than ``steps`` steps; and unless ``finite`` is False, a NaN or an
+    infinity.  Where ``ndim`` allows at most one dimension and ``steps`` is
+    None, a 1-D array runs over paths; otherwise its one axis runs over
+    steps.
     """
     dims = (ndim,) if isinstance(ndim, int) else ndim
     per_path = dims is not None and max(dims) == 1 and steps is None
@@ -65,7 +66,7 @@ def floats(name: str, value, ndim=None, *, paths=None, steps=None, finite=True) 
         array = np.asarray(value)
     except (TypeError, ValueError):  # a ragged nesting, such as [1, [2, 3]]
         array = None
-    if array is None or array.dtype.kind not in "iuf":
+    if array is None or array.dtype.kind not in "iuf" or _holds_bool(value):
         shown = repr(value)
         raise ContractError(f"{name} must be {what}, got {shown if len(shown) <= 60 else shown[:56] + ' ...'}")
     array = array.astype(float, copy=False)
@@ -86,3 +87,11 @@ def floats(name: str, value, ndim=None, *, paths=None, steps=None, finite=True) 
         shown = f"{float(array[bad])!r} at index {bad}" if bad else repr(float(array))
         raise ContractError(f"{name} must be {what}, got {shown}")
     return array
+
+
+def _holds_bool(value) -> bool:
+    """Whether ``value`` is or holds a bool, in lists and tuples at any depth;
+    only Python sequences are walked, so an array costs one type test."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, (bool, np.bool_)) or isinstance(value, np.ndarray) and value.dtype.kind == "b"

@@ -50,7 +50,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._csv import write_csv
 from ._lapack import one_thread, potrf
-from .errors import ContractError, NumericalError, floats, require
+from .errors import ContractError, NumericalError, _holds_bool, floats, require
 
 __all__ = [
     "InnovationSystem",
@@ -111,13 +111,6 @@ def fgn_autocovariance(h: float, lag):
     if np.isscalar(lag) or np.ndim(lag) == 0:
         return float(rho)
     return rho
-
-
-def _holds_bool(lag) -> bool:
-    """Whether ``lag`` is or holds a bool, in lists and tuples at any depth."""
-    if isinstance(lag, (list, tuple)):
-        return any(map(_holds_bool, lag))
-    return isinstance(lag, (bool, np.bool_)) or isinstance(lag, np.ndarray) and lag.dtype.kind == "b"
 
 
 def autocovariance_matrix(h: float, n: int) -> np.ndarray:

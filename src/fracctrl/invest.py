@@ -312,6 +312,7 @@ def control_rule(
     """
     p, k, n_trunc = adjoint.p, adjoint.k, adjoint.truncation
     if predictions is not None:
+        predictions = floats("predictions", predictions, 2, finite=False)
         blocks = _step_blocks(predictions.shape[0], min(predictions.shape[1], n_trunc + 1))
         held = [slice(0, 0), None]  # the block of steps in hand and its x-free part
 
@@ -338,21 +339,20 @@ def control_rule(
 class InvestResult:
     """One full experiment: paths, controls, first-order checks, outputs.
 
-    ``controls`` is the simulator's step-major (Fortran-order) buffer, as
-    ``state.values`` is; ``state.controls`` is a view of its first
-    ``horizon`` columns.  The run certifies the bracket block by block and
-    keeps none: bracket_values(..., controls=controls, truncation=horizon,
-    predictions=prediction_matrix(system, state.noise.xi, horizon)) on the
-    run's fields rebuilds it, bit for bit.  ``state.noise.eta`` is None: the
-    run drops the innovations once the noise is made, and a regression solve
-    along ``state`` redraws them from ``state.noise.seed``, bit for bit.
+    ``state.controls`` is the simulator's step-major (Fortran-order) buffer
+    of horizon + 1 columns, terminal control included, as ``state.values``
+    is.  The run certifies the bracket block by block and keeps none:
+    bracket_values(..., truncation=horizon, predictions=prediction_matrix(
+    system, state.noise.xi, horizon)) on the run's fields rebuilds it, bit
+    for bit.  ``state.noise.eta`` is None: the run drops the innovations
+    once the noise is made, and a regression solve along ``state`` redraws
+    them from ``state.noise.seed``, bit for bit.
     """
 
     config: InvestConfig
     system: InnovationSystem
     adjoint: InvestAdjoint
     state: StatePath
-    controls: np.ndarray  # (n_paths, horizon + 1), terminal step included
     check: dict
     clamp_stats: dict
     out_dir: Optional[Path] = None
@@ -389,8 +389,8 @@ class _Clamps:
 
 def write_wealth_csv(result: InvestResult, path) -> None:
     """Dump (path_id, n, X, v) rows over n = 0..horizon, 17 digits."""
-    columns = [0, 1, result.state.values, result.controls]
-    write_csv(path, "path_id,n,X,v", [(result.controls.shape, columns)])
+    state = result.state
+    write_csv(path, "path_id,n,X,v", [(state.controls.shape, [0, 1, state.values, state.controls])])
 
 
 def write_adjoint_csv(adjoint: InvestAdjoint, path) -> None:
@@ -481,17 +481,15 @@ def run_experiment(
     pred = prediction_matrix(sys, noise.xi, config.horizon)
     rule = control_rule(config, sys, adjoint, pred)
     coeffs = coefficient_set(config)
-    # The simulator's buffer holds the terminal control; state.controls is a view of it.
     state = simulate_state(coeffs, ControlProcess(rule=rule), noise, config.x0, terminal=True)
     del rule
     controls = state.controls
-    state = replace(state, controls=controls[:, :-1])
 
     # One pass over blocks of steps: each block of the bracket and of the
     # caps feeds the certificate and the clamp counts, and is then dropped.
     blocks, bracket_block = _bracket_blocks(
         coeffs, cost_driver(config), state, adjoint.solution, adjoint.k, sys,
-        controls, None, config.horizon, pred,
+        None, None, config.horizon, pred,
     )
     certificate = _Certificate(controls.shape, n_trials, config.seed, tolerance)
     clamps = _Clamps()
@@ -513,7 +511,6 @@ def run_experiment(
         system=sys,
         adjoint=adjoint,
         state=state,
-        controls=controls,
         check=certificate.report(witness),
         clamp_stats=clamps.stats(),
         out_dir=None if out_dir is None else Path(out_dir),

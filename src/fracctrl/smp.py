@@ -40,7 +40,7 @@ driver is then linear with deterministic per-step coefficients.
 
 Array arguments are read through errors.floats, which names the argument
 in its ContractError; check_necessary_condition alone takes NaN and inf,
-as violations.
+as violations, except a NaN bound of the box, which it refuses.
 """
 
 from __future__ import annotations
@@ -195,9 +195,10 @@ def bracket_values(
     wherever defined and q wherever it exists (0 at the adjoint's own
     terminal), so at matched truncation the last column degenerates to
     -f_u*(N) k_N.  ``controls`` defaults to the controls realized in
-    ``state``; provide an array covering the last step when the cost partials
-    need the terminal control.  ``cost_solution`` supplies (Y*, Z*) for cost
-    partials that read them (zeros otherwise).  ``predictions`` is the
+    ``state``, which cover the last step when the state was simulated with
+    its terminal control; a control missing at a step reads as NaN.
+    ``cost_solution`` supplies (Y*, Z*) for cost partials that read them
+    (zeros otherwise).  ``predictions`` is the
     prediction_matrix of ``state``'s noise through at least the bracket range,
     when the caller already has it; otherwise it is computed here.
 
@@ -300,11 +301,13 @@ def check_necessary_condition(
     at a corner: bracket * (lower - u*) where bracket > 0, bracket * (upper -
     u*) otherwise.  Every entry whose worst product is not >= -tolerance
     (NaN and inf included) is a violation; the first ten are reported with
-    the worst admissible control ``u``.  ``n_trials`` > 0 adds a serial
-    witness, the least product over that many uniform draws from the box
-    under per-trial generators spawned from ``seed``.  No draw can go below
-    the certificate, and the witness never gates ``passed``.  ``seed`` is
-    an integer >= 0 and ``tolerance`` a finite number >= 0.
+    the worst admissible control ``u``.  A box whose upper bound is not >=
+    its lower bound somewhere, a NaN in either bound included, raises
+    ContractError; an infinite bound is legal.  ``n_trials`` > 0 adds a
+    serial witness, the least product over that many uniform draws from the
+    box under per-trial generators spawned from ``seed``.  No draw can go
+    below the certificate, and the witness never gates ``passed``.
+    ``seed`` is an integer >= 0 and ``tolerance`` a finite number >= 0.
 
     The corners are taken in blocks of steps (the last axis), as the
     step-major grids of a run are stored, and no temporary is larger than a
@@ -347,8 +350,8 @@ class _Certificate:
 
     def add(self, cols: slice, bb, uu, ll, hh) -> None:
         """Take in steps ``cols`` of the bracket, u* and the box's bounds."""
-        if np.any(hh < ll):
-            raise ContractError("upper bound below lower bound somewhere in the admissible box")
+        if not np.all(hh >= ll):  # a NaN in either bound fails too
+            raise ContractError("upper bound below lower bound, or a NaN bound, somewhere in the admissible box")
         corner = np.where(bb > 0, ll, hh)
         worst = corner - uu
         worst *= bb

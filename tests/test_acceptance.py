@@ -258,8 +258,8 @@ def test_criterion_10_figure_experiments(tmp_path):
             assert (out / name).exists(), f"H={hurst}: {name} missing"
         chi = consumption_indicator(config, config.horizon)
         caps = np.maximum(result.state.values * (1 - config.c * chi), 0.0)
-        assert np.all(result.controls >= 0.0), f"H={hurst}: negative position"
-        assert np.all(result.controls <= caps), f"H={hurst}: position above the admissible cap"
+        assert np.all(result.state.controls >= 0.0), f"H={hurst}: negative position"
+        assert np.all(result.state.controls <= caps), f"H={hurst}: position above the admissible cap"
         assert result.clamp_stats["max_bound_violation"] == 0.0
         details.append(f"H={hurst} ok")
     # exact figure values are not reproducible (unpublished seeds); the runs,

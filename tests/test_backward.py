@@ -476,8 +476,9 @@ class TestSolveTruncatedExact:
         assert_allclose(sol.z, 0.0, rtol=0, atol=0, err_msg="deterministic adjoint must have q = 0")
 
     @pytest.mark.parametrize("n_controls", [5, 4])
-    def test_a_stateless_solve_reads_controls_as_the_array_loop_does(self, n_controls):
-        # Four controls end before the terminal step 4, where u is then NaN.
+    def test_a_solve_reads_u_off_the_state_controls_terminal_included(self, n_controls):
+        # Four controls end before the terminal step 4, where u is then NaN;
+        # a stateless solve sees u = NaN at every step.
         controls = 0.5 ** np.arange(n_controls)
         driver = DriverSpec(f=lambda n, x, y, z, u: 0.3 * y + u)
         zeros = np.zeros((1, 4))
@@ -485,18 +486,19 @@ class TestSolveTruncatedExact:
             values=np.zeros((1, 5)), controls=controls[None],
             noise=NoiseEnsemble(seed=0, eta=zeros, xi=zeros),
         )
-        solves = [
-            lambda: solve_truncated(driver, None, None, 4, 0.5, 1.5, "exact", control_values=controls),
-            lambda: solve_truncated(driver, one_path, None, 4, 0.5, 1.5, "exact"),
-        ]
+        with pytest.raises(NumericalError, match="non-finite at step 3"):
+            solve_truncated(driver, None, None, 4, 0.5, 1.5, "exact")
         if n_controls == 4:
-            for solve in solves:
-                with pytest.raises(NumericalError, match="non-finite at step 3"):
-                    solve()
+            with pytest.raises(NumericalError, match="non-finite at step 3"):
+                solve_truncated(driver, one_path, None, 4, 0.5, 1.5, "exact")
             return
-        floats, array_loop = (solve() for solve in solves)
-        assert np.array_equal(floats.y, array_loop.y) and np.array_equal(floats.z, array_loop.z)
-        assert floats.y[0, 3] != 0.0, "the controls must reach the driver"
+        sol = solve_truncated(driver, one_path, None, 4, 0.5, 1.5, "exact")
+        ratios = np.exp(-0.5 * np.diff(np.arange(5.0) ** 1.5))
+        y = np.zeros(5)
+        for n in range(3, -1, -1):
+            y[n] = ratios[n] * (y[n + 1] + (0.3 * y[n + 1] + controls[n + 1]))
+        assert np.array_equal(sol.y, y[None]) and np.array_equal(sol.z, np.zeros((1, 4)))
+        assert sol.y[0, 3] != 0.0, "the terminal control must reach the driver"
 
     def test_exact_backend_rejects_stochastic_targets(self):
         sys, state = simulate_white(4, 32, seed=5)
@@ -857,7 +859,7 @@ def write_solution_table(solution, path):
 class TestSolutionShapes:
     @staticmethod
     def solution(y, z):
-        return BsdeSolution(y=y, z=z, lam=0.5, gamma_exp=1.5, backend="exact")
+        return BsdeSolution(y=y, z=z, lam=0.5, gamma_exp=1.5)
 
     @pytest.mark.parametrize("y", [np.zeros(5), np.zeros((2, 5, 1)), np.float64(1.0), np.zeros((2, 0))],
                              ids=["1-D", "3-D", "scalar", "no step"])
@@ -884,7 +886,7 @@ class TestSolutionCsv:
         assert sol.y.T.flags.c_contiguous and sol.z.T.flags.c_contiguous
         copy = BsdeSolution(
             y=np.ascontiguousarray(sol.y), z=np.ascontiguousarray(sol.z), lam=sol.lam,
-            gamma_exp=sol.gamma_exp, backend=sol.backend,
+            gamma_exp=sol.gamma_exp,
         )
         write_solution_table(sol, tmp_path / "step_major.csv")
         write_solution_table(copy, tmp_path / "c_order.csv")

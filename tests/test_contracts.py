@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from fracctrl.backward import BsdeSolution, DriverSpec, conditional_expectation, solve_truncated
+from fracctrl.backward import BsdeSolution, DriverSpec, conditional_expectation
 from fracctrl.errors import ContractError, floats
 from fracctrl.forward import (
     CoefficientSet,
@@ -17,7 +17,7 @@ from fracctrl.forward import (
     simulate_variation,
 )
 from fracctrl.fracnoise import build_innovation_system, predict_next, prediction_matrix, sample_ensemble
-from fracctrl.invest import InvestConfig, closed_form_control
+from fracctrl.invest import InvestConfig, closed_form_control, control_rule, solve_adjoint
 from fracctrl.smp import (
     bracket_values,
     check_necessary_condition,
@@ -63,7 +63,7 @@ def case():
         "k": k,
         "adjoint": solve_adjoint_pq(0.1, 0.0, 0.3, k, TRUNCATION, 0.5, 1.5),
         "variational": BsdeSolution(
-            y=np.zeros((PATHS, 5)), z=np.zeros((PATHS, 4)), lam=0.5, gamma_exp=1.5, backend="exact"
+            y=np.zeros((PATHS, 5)), z=np.zeros((PATHS, 4)), lam=0.5, gamma_exp=1.5
         ),
     }
 
@@ -74,6 +74,11 @@ def variational(s, **tables):
     return solve_variational(
         variation=s["variation"], truncation=TRUNCATION, lam=0.5, gamma_exp=1.5, backend="exact", **args
     )
+
+
+def invest_rule(s, predictions):
+    config = InvestConfig(horizon=TRUNCATION)
+    return control_rule(config, s["sys"], solve_adjoint(config), predictions)
 
 
 def rule_run(s, value):
@@ -88,13 +93,6 @@ ROWS = [
     ("perturb_control-string", "u_star", lambda s: perturb_control("a", np.zeros(5), 0.5)),
     ("ControlProcess-string", "values", lambda s: ControlProcess(values="a")),
     ("check_necessary_condition-string", "bracket", lambda s: check_necessary_condition("a", 0.0, 0.0, 1.0)),
-    (
-        "solve_truncated-string",
-        "control_values",
-        lambda s: solve_truncated(
-            s["cost"], s["state"], None, TRUNCATION, 0.5, 1.5, backend="exact", control_values="a"
-        ),
-    ),
     ("predict_next-string", "prefix", lambda s: predict_next(s["sys"], "a")),
     (
         "bracket_values-string",
@@ -120,6 +118,18 @@ ROWS = [
     ("rule-string", "rule", lambda s: rule_run(s, "a")),
     ("rule-other-paths", "rule", lambda s: rule_run(s, np.zeros(3))),
     ("weighted_norm-params", "params", lambda s: weighted_norm(np.ones(3), None)),
+    ("control_rule-string", "predictions", lambda s: invest_rule(s, "a")),
+    ("control_rule-ragged", "predictions", lambda s: invest_rule(s, [[0.1, 0.2], [0.3]])),
+    # Bools inside lists, which numpy would read as 0 and 1.
+    ("floats-nested-bool", "x", lambda s: floats("x", [1.0, True])),
+    ("prediction_matrix-nested-bool", "xi", lambda s: prediction_matrix(s["sys"], [[0.5, True, 0.2]], 3)),
+    ("solve_adjoint_k-nested-bool", "f_y", lambda s: solve_adjoint_k([0.5, True, 0.5, 0.5], 0.0, 3)),
+    (
+        "check_necessary_condition-nested-bool",
+        "bracket",
+        lambda s: check_necessary_condition([1.0, True], 0.0, 0.0, 1.0),
+    ),
+    ("ControlProcess-nested-bool", "values", lambda s: ControlProcess(values=[0.1, False])),
     # Silent NaNs.
     ("solve_variational-nan-f_y", "f_y", lambda s: variational(s, f_y=np.nan)),
     (

@@ -45,7 +45,7 @@ def reference_wealth(result, path):
         for i in range(result.state.n_paths):
             for n in range(result.state.horizon + 1):
                 fh.write(
-                    f"{i},{n},{result.state.values[i, n]:.17g},{result.controls[i, n]:.17g}\n"
+                    f"{i},{n},{result.state.values[i, n]:.17g},{result.state.controls[i, n]:.17g}\n"
                 )
 
 
@@ -69,6 +69,7 @@ def reference_solution(solution, path):
 
 
 def reference_trajectory(state, path):
+    """Rows over the steps the noise drives: a terminal control has none."""
     xi = state.noise.xi
     with open(path, "w", newline="") as fh:
         fh.write("path_id,n,X,u,xi\n")
@@ -85,9 +86,10 @@ def solution_table(solution, path):
 
 
 def trajectory_table(state, path):
-    """(path_id, n, X, u, xi) of a simulated state in one write_csv table."""
+    """(path_id, n, X, u, xi) of a simulated state in one write_csv table,
+    over the steps the noise drives: a terminal control has no row."""
     columns = [0, 1, state.values, state.controls, state.noise.xi]
-    write_csv(path, "path_id,n,X,u,xi", [(state.controls.shape, columns)])
+    write_csv(path, "path_id,n,X,u,xi", [(state.noise.xi.shape, columns)])
 
 
 def reference_loadings(system, path):
@@ -112,22 +114,20 @@ def floats(rng, shape, special):
 # Builders: an input whose table has n_paths x n_steps rows.
 def wealth_input(rng, n_paths, n_steps, special):
     controls = floats(rng, (n_paths, n_steps), special)
-    state = StatePath(floats(rng, (n_paths, n_steps), special), controls[:, :-1], None)
-    return InvestResult(None, None, None, state, controls, None, None, None)
+    state = StatePath(floats(rng, (n_paths, n_steps), special), controls, None)
+    return InvestResult(None, None, None, state, None, None, None)
 
 
 def adjoint_input(rng, n_paths, n_steps, special):
     n = n_paths * n_steps
     p, k = floats(rng, n, special), floats(rng, n, special)
-    solution = BsdeSolution(
-        y=p[None], z=floats(rng, (1, n - 1), special), lam=1.0, gamma_exp=2.0, backend="exact"
-    )
+    solution = BsdeSolution(y=p[None], z=floats(rng, (1, n - 1), special), lam=1.0, gamma_exp=2.0)
     return InvestAdjoint(k=k, solution=solution)
 
 
 def solution_input(rng, n_paths, n_steps, special):
     y, z = floats(rng, (n_paths, n_steps), special), floats(rng, (n_paths, n_steps - 1), special)
-    return BsdeSolution(y=y, z=z, lam=1.0, gamma_exp=2.0, backend="exact")
+    return BsdeSolution(y=y, z=z, lam=1.0, gamma_exp=2.0)
 
 
 def trajectory_input(rng, n_paths, n_steps, special):
@@ -203,7 +203,6 @@ def test_writers_match_on_a_real_run(tmp_path):
     assert_same_file(write_loadings_csv, reference_loadings, result.system, tmp_path)
     cost = solve_truncated(
         cost_driver(config), result.state, None, config.horizon, config.lam, config.gamma_exp,
-        control_values=result.controls,
     )
     assert_same_file(solution_table, reference_solution, cost, tmp_path)
     adjoint = solve_adjoint_pq(0.01, 0.0, -1.0, 1.0, 10, 1.0, 2.0)

@@ -343,7 +343,7 @@ class TestRunExperiment:
     def test_shapes_and_bounds(self):
         cfg = small_config()
         result = run_experiment(cfg, n_trials=5)
-        assert result.controls.shape == (cfg.paths, cfg.horizon + 1)
+        assert result.state.controls.shape == (cfg.paths, cfg.horizon + 1)
         assert run_bracket(result).shape == (cfg.paths, cfg.horizon + 1)
         assert result.clamp_stats["max_bound_violation"] == 0.0
         fractions = [
@@ -355,14 +355,24 @@ class TestRunExperiment:
 
     def test_state_controls_are_a_view_of_the_one_controls_array(self):
         cfg = small_config()
-        result = run_experiment(cfg)
-        assert result.controls.flags.f_contiguous
-        assert np.shares_memory(result.state.controls, result.controls)
+        simulated = []
+
+        def recording_simulate_state(*args, **kwargs):
+            simulated.append(simulate_state(*args, **kwargs))
+            return simulated[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(invest_module, "simulate_state", recording_simulate_state)
+            result = run_experiment(cfg)
+        # The simulator's step-major buffer itself, terminal control included.
+        assert result.state.controls is simulated[0].controls
+        assert result.state.controls.shape == (cfg.paths, cfg.horizon + 1)
+        assert result.state.controls.flags.f_contiguous
         sys = build_innovation_system(cfg.hurst, cfg.horizon + 1)
         noise = sample_ensemble(sys, cfg.seed, cfg.paths, n_steps=cfg.horizon)
         pred = prediction_matrix(sys, noise.xi, cfg.horizon)
         rule = control_rule(cfg, sys, solve_adjoint(cfg), pred)
-        state = simulate_state(coefficient_set(cfg), ControlProcess(rule=rule), noise, cfg.x0)
+        state = simulate_state(coefficient_set(cfg), ControlProcess(rule=rule), noise, cfg.x0, terminal=True)
         assert np.array_equal(result.state.controls, state.controls)
         assert np.array_equal(result.state.values, state.values)
 
@@ -371,7 +381,16 @@ class TestRunExperiment:
         cfg = small_config()
         result = run_experiment(cfg, n_trials=1)
         assert result.adjoint.p[0] < 0.0
-        assert_allclose(result.controls[:, 0], cfg.x0, rtol=0, atol=0)
+        assert_allclose(result.state.controls[:, 0], cfg.x0, rtol=0, atol=0)
+
+    def test_the_cost_solve_along_the_run_reads_its_terminal_control(self):
+        # The cost's R v_N^beta reads the terminal position, which the run's
+        # state carries: without it the solve meets NaN at step horizon - 1.
+        cfg = small_config()
+        result = run_experiment(cfg)
+        cost = solve_truncated(cost_driver(cfg), result.state, None, cfg.horizon, cfg.lam, cfg.gamma_exp)
+        assert np.all(np.isfinite(cost.y)) and np.all(np.isfinite(cost.z))
+        assert cost.y.shape == (cfg.paths, cfg.horizon + 1)
 
     def test_wealth_halves_at_consumption_when_uninvested(self):
         # With lam=1, gamma_exp=2 the position is ~0 after step 0, so wealth
@@ -454,15 +473,15 @@ class TestDroppedInnovations:
         assert np.array_equal(result.state.noise.xi, sampled.xi)
         held = replace(result.state, noise=sampled)
         chi = consumption_indicator(config, config.horizon)
-        directions = 0.3 * np.maximum(result.state.values * (1 - config.c * chi), 0.0) - result.controls
+        controls = result.state.controls
+        directions = 0.3 * np.maximum(result.state.values * (1 - config.c * chi), 0.0) - controls
         coeffs = coefficient_set(config)
         for solve in (
             lambda state: solve_truncated(
                 cost_driver(config), state, None, config.horizon, config.lam, config.gamma_exp,
-                control_values=result.controls,
             ),
             lambda state: solve_variational(
-                -config.wealth_weight * chi, 0.5 * config.lam, 0.0, 0.02 * result.controls,
+                -config.wealth_weight * chi, 0.5 * config.lam, 0.0, 0.02 * controls,
                 simulate_variation(coeffs, state, directions[:, :-1]), directions,
                 config.horizon, config.lam, config.gamma_exp, window=2,
             ),
@@ -498,12 +517,10 @@ def per_step_prediction_run(config):
     adjoint = solve_adjoint(config)
     rule = control_rule(config, sys, adjoint)
     coeffs = coefficient_set(config)
-    state = simulate_state(coeffs, ControlProcess(rule=rule), noise, config.x0)
-    terminal_v = rule(config.horizon, state.values[:, -1], noise.xi)
-    controls = np.hstack([state.controls, terminal_v[:, None]])
+    state = simulate_state(coeffs, ControlProcess(rule=rule), noise, config.x0, terminal=True)
+    controls = state.controls
     bracket = bracket_values(
-        coeffs, cost_driver(config), state, adjoint.solution, adjoint.k, sys,
-        controls=controls, truncation=config.horizon,
+        coeffs, cost_driver(config), state, adjoint.solution, adjoint.k, sys, truncation=config.horizon
     )
     chi = consumption_indicator(config, config.horizon)
     caps = np.maximum(state.values * (1 - config.c * chi), 0.0)
@@ -517,7 +534,7 @@ def run_bracket(result):
     cfg = result.config
     return bracket_values(
         coefficient_set(cfg), cost_driver(cfg), result.state, result.adjoint.solution,
-        result.adjoint.k, result.system, controls=result.controls, truncation=cfg.horizon,
+        result.adjoint.k, result.system, truncation=cfg.horizon,
         predictions=prediction_matrix(result.system, result.state.noise.xi, cfg.horizon),
     )
 
@@ -551,14 +568,13 @@ class TestSharedPredictions:
                 cfg, n, result.state.values[:, n], result.adjoint.p[n], result.adjoint.k[n],
                 pred[:, n],
             )
-            assert np.array_equal(result.controls[:, n], v), f"control at step {n}"
+            assert np.array_equal(result.state.controls[:, n], v), f"control at step {n}"
         bracket = bracket_values(
             coefficient_set(cfg), cost_driver(cfg), result.state, result.adjoint.solution,
-            result.adjoint.k, result.system, controls=result.controls, truncation=cfg.horizon,
-            predictions=pred,
+            result.adjoint.k, result.system, truncation=cfg.horizon, predictions=pred,
         )
         caps = np.maximum(result.state.values * (1 - cfg.c * consumption_indicator(cfg, cfg.horizon)), 0.0)
-        assert result.check == check_necessary_condition(bracket, result.controls, 0.0, caps)
+        assert result.check == check_necessary_condition(bracket, result.state.controls, 0.0, caps)
 
     def test_bracket_rejects_predictions_of_the_wrong_shape(self):
         cfg = small_config()
@@ -566,8 +582,7 @@ class TestSharedPredictions:
         args = (coefficient_set(cfg), cost_driver(cfg), result.state, result.adjoint.solution,
                 result.adjoint.k, result.system)
         with pytest.raises(ContractError, match=r"predictions has \d+ steps, 1 short of the \d+ read"):
-            bracket_values(*args, controls=result.controls, truncation=cfg.horizon,
-                           predictions=np.zeros((cfg.paths, cfg.horizon)))
+            bracket_values(*args, truncation=cfg.horizon, predictions=np.zeros((cfg.paths, cfg.horizon)))
 
     def test_the_rule_holds_one_block_and_the_run_keeps_no_predictions(self, monkeypatch):
         # Made over the whole grid at once, the rule's x-free part was as
@@ -609,7 +624,7 @@ class TestSharedPredictions:
         result = run_experiment(cfg, n_trials=7, tolerance=0.0)
         caps = np.maximum(result.state.values * (1 - cfg.c * consumption_indicator(cfg, cfg.horizon)), 0.0)
         want = check_necessary_condition(
-            run_bracket(result), result.controls, 0.0, caps, n_trials=7, seed=cfg.seed, tolerance=0.0
+            run_bracket(result), result.state.controls, 0.0, caps, n_trials=7, seed=cfg.seed, tolerance=0.0
         )
         assert want["n_violations"] > 0 and want["min_trial_product"] is not None
         assert result.check == want
@@ -676,12 +691,9 @@ def criterion_09_chain(config, sys, noise):
     adjoint = solve_adjoint(config, truncation=config.horizon)
     coeffs = coefficient_set(config)
     rule = control_rule(config, sys, adjoint)
-    state = simulate_state(coeffs, ControlProcess(rule=rule), noise, config.x0)
-    terminal_v = rule(config.horizon, state.values[:, -1], noise.xi)
-    controls = np.hstack([state.controls, terminal_v[:, None]])
-    bracket = bracket_values(
-        coeffs, cost_driver(config), state, adjoint.solution, adjoint.k, sys, controls=controls
-    )
+    state = simulate_state(coeffs, ControlProcess(rule=rule), noise, config.x0, terminal=True)
+    controls = state.controls
+    bracket = bracket_values(coeffs, cost_driver(config), state, adjoint.solution, adjoint.k, sys)
     chi = consumption_indicator(config, config.horizon)
     caps = np.maximum(state.values * (1 - config.c * chi), 0.0)
     directions = 0.3 * caps - controls
@@ -719,7 +731,7 @@ class TestNoiseLayout:
         assert got.state.noise.xi.flags.c_contiguous
         assert np.array_equal(got.state.noise.xi, want.state.noise.xi)
         assert np.array_equal(got.state.values, want.state.values)
-        assert np.array_equal(got.controls, want.controls)
+        assert np.array_equal(got.state.controls, want.state.controls)
         assert np.array_equal(run_bracket(got), run_bracket(want))
         assert got.check == want.check
         assert got.clamp_stats == want.clamp_stats
