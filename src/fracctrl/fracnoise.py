@@ -36,6 +36,11 @@ generator (ziggurat standard normals), fixed for this build so that identical
 (system, seed) pairs reproduce identical paths bit for bit.  The factorization
 and the noise and prediction products run on one OpenBLAS thread
 (``_lapack.one_thread``), so their bits do not depend on the CPU count.
+
+The noise and the predictions are stored step-major, and each such grid is
+allocated before the scratch that fills it (the innovations and the
+path-major product).  That order is part of the contract: with it a second
+run in one process peaks where the first did (see ``_step_major``).
 """
 
 from __future__ import annotations
@@ -275,17 +280,25 @@ def _draw_innovations(seed: int, shape) -> np.ndarray:
 _COPY_BLOCK_ENTRIES = 1 << 15
 
 
-def _step_major(product: np.ndarray) -> np.ndarray:
-    """``product`` (paths, steps) as the transpose of a step-major copy.
+def _step_major(product: np.ndarray, by_step: np.ndarray) -> np.ndarray:
+    """``product`` (paths, steps) copied into ``by_step`` (steps, paths),
+    returned as its transpose.
 
     Every reader steps through time, so the noise and its predictions are
     kept step-major: column n of the result is contiguous.  The copy is
     exact; computing a product step-major instead (beta @ eta.T, or over
     blocks of paths) rounds differently.  Blocks of paths keep the
     transposing copy in cache.
+
+    The caller allocates ``by_step`` before it makes ``product`` (and the
+    innovations behind it), so the scratch sits above the grid on the heap
+    and the next grid of the same size reuses its space once it is freed.
+    Made the other way round, the scratch leaves a hole below the grid that
+    the next grids split, and a second run in one process peaks most of a
+    grid higher than the first (glibc serves grids of up to 32 MB from the
+    heap once it has freed one of them).
     """
     n_paths, n_steps = product.shape
-    by_step = np.empty((n_steps, n_paths))
     block = max(1, _COPY_BLOCK_ENTRIES // n_steps)
     for start in range(0, n_paths, block):
         by_step[:, start : start + block] = product[start : start + block].T
@@ -316,10 +329,11 @@ def sample_ensemble(
         raise ContractError(
             f"n_steps must lie in [1, horizon={system.horizon}], got {n_steps}"
         )
+    by_step = np.empty((n_steps, n_paths))  # before its scratch: see _step_major
     eta = _draw_innovations(seed, (n_paths, n_steps))
     with one_thread():
         product = eta @ system.beta[:n_steps, :n_steps].T
-    xi = _step_major(product)
+    xi = _step_major(product, by_step)
     return NoiseEnsemble(seed=int(seed), eta=eta, xi=xi)
 
 
@@ -376,9 +390,10 @@ def prediction_matrix(system: InnovationSystem, xi, n_max: int) -> np.ndarray:
         )
     # gamma is strictly lower triangular, so the terms past each prefix are
     # exact zeros and one product gives every column.
+    by_step = np.empty((n_max + 1, xi.shape[0]))  # before its scratch: see _step_major
     with one_thread():
         product = xi[:, :n_max] @ system.gamma[: n_max + 1, :n_max].T
-    return _step_major(product)
+    return _step_major(product, by_step)
 
 
 def gaussian_abs_moment(m: float) -> float:

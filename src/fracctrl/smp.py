@@ -208,16 +208,19 @@ def bracket_values(
     transpose of a step-major (n_cols, n_paths) buffer, like the state and
     the predictions: a window of steps is Fortran-contiguous.
     """
-    blocks, block = _bracket_blocks(coeffs, cost, state, adjoint, k, sys, controls, cost_solution, truncation, predictions)
-    out = np.empty((blocks[-1].stop, state.n_paths)).T
+    n_trunc = _bracket_range(state, adjoint, truncation)
+    # The result goes below the predictions _bracket_blocks may make: see
+    # fracnoise._step_major.
+    out = np.empty((n_trunc + 1, state.n_paths)).T
+    blocks, block = _bracket_blocks(coeffs, cost, state, adjoint, k, sys, controls, cost_solution, n_trunc, predictions)
     for cols in blocks:
         out[:, cols] = block(cols)
     return out
 
 
-def _bracket_blocks(coeffs, cost, state, adjoint, k, sys, controls, cost_solution, truncation, predictions):
-    """bracket_values' checks, then its blocks of steps and the function that
-    makes the bracket on one of them."""
+def _bracket_range(state: StatePath, adjoint: BsdeSolution, truncation) -> int:
+    """The last step of bracket_values' grid, checked against the adjoint
+    and the state."""
     n_trunc = adjoint.truncation if truncation is None else truncation
     require("truncation", n_trunc, int)
     if n_trunc < 0:
@@ -231,6 +234,13 @@ def _bracket_blocks(coeffs, cost, state, adjoint, k, sys, controls, cost_solutio
         raise ContractError(
             f"state horizon {state.horizon} is shorter than the bracket range {n_trunc}"
         )
+    return n_trunc
+
+
+def _bracket_blocks(coeffs, cost, state, adjoint, k, sys, controls, cost_solution, n_trunc: int, predictions):
+    """bracket_values' checks of its arrays, then its blocks of steps through
+    ``n_trunc`` (checked by _bracket_range) and the function that makes the
+    bracket on one of them."""
     n_paths, n_cols = state.n_paths, n_trunc + 1
     k = floats("k", k, (0, 1, 2), paths=n_paths, steps=n_cols)
     controls = state.controls if controls is None else floats("controls", controls, (0, 1, 2), paths=n_paths)
@@ -355,18 +365,23 @@ class _Certificate:
         corner = np.where(bb > 0, ll, hh)
         worst = corner - uu
         worst *= bb
-        rows, steps = np.nonzero(~(worst >= -self.tolerance))  # in C order
-        self.n_bad += rows.size
-        for r, s in zip(rows[:10], steps[:10]):
-            flat = int(r) * self.n_cols + int(s) + cols.start
-            record = {"value": float(worst[r, s]), "u": float(corner[r, s])}
-            idx = np.unravel_index(flat, self.shape)
-            if len(idx) == 2:
-                record["path"], record["step"] = int(idx[0]), int(idx[1])
-            else:
-                record["index"] = [int(i) for i in idx]
-            self.first_bad.append((flat, record))
-        self.first_bad = sorted(self.first_bad, key=lambda entry: entry[0])[:10]
+        bad = ~(worst >= -self.tolerance)
+        count = int(np.count_nonzero(bad))
+        self.n_bad += count
+        # Counting is cheap and locating is not, so a block with no violation,
+        # as in every block of a passing run, is only counted.
+        if count:
+            rows, steps = np.nonzero(bad)  # in C order
+            for r, s in zip(rows[:10], steps[:10]):
+                flat = int(r) * self.n_cols + int(s) + cols.start
+                record = {"value": float(worst[r, s]), "u": float(corner[r, s])}
+                idx = np.unravel_index(flat, self.shape)
+                if len(idx) == 2:
+                    record["path"], record["step"] = int(idx[0]), int(idx[1])
+                else:
+                    record["index"] = [int(i) for i in idx]
+                self.first_bad.append((flat, record))
+            self.first_bad = sorted(self.first_bad, key=lambda entry: entry[0])[:10]
         row, col = divmod(int(np.argmin(worst)), worst.shape[1])
         self.minima.append((worst[row, col], row * self.n_cols + cols.start + col))
 

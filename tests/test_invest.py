@@ -1,8 +1,12 @@
 """Tests for the investment/consumption application."""
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -508,6 +512,33 @@ class TestDroppedInnovations:
             if not tracing:
                 tracemalloc.stop()
         assert peak <= 4.5 * grid, f"peak {peak} bytes is {peak / grid:.2f} grids of {grid} bytes"
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"),
+        reason="ru_maxrss is in kilobytes, and the heap is glibc's, on Linux only",
+    )
+    def test_a_third_run_peaks_where_the_first_did(self):
+        # tracemalloc sees no holes in the heap, so the resident peak of a
+        # fresh process is read after the first and the third run.  A grid
+        # allocated after the scratch that fills it leaves a hole below it,
+        # which the later grids split: the third run then peaks most of a
+        # grid higher than the first.
+        script = """
+import json, resource
+from fracctrl.invest import InvestConfig, run_experiment
+peaks = []
+for _ in range(3):
+    run_experiment(InvestConfig(paths=20000, horizon=50))
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024)
+print(json.dumps(peaks))
+"""
+        src = str(Path(invest_module.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        peaks = json.loads(done.stdout)
+        grid = 20000 * 51 * 8
+        growth = (peaks[2] - peaks[0]) / grid
+        assert growth <= 0.25, f"resident peaks {peaks} bytes: the third run grew {growth:.2f} grids of {grid} bytes"
 
 
 def per_step_prediction_run(config):
